@@ -266,9 +266,13 @@ class HyperellipticCurve:
             raise ValueError(f"Weierstrass label out of range: {label!r}")
         return idx
 
+    def weierstrass_index(self, point: CurvePoint) -> int | None:
+        """Label index 1..2g+2 if the point is one of the Weierstrass points."""
+        return self._label_of_point.get(point)
+
     def label_of(self, point: CurvePoint) -> str | None:
         """Label 'wi' if the point is one of the Weierstrass points."""
-        idx = self._label_of_point.get(point)
+        idx = self.weierstrass_index(point)
         return None if idx is None else f"w{idx}"
 
     # -- distinguished divisors ----------------------------------------------
@@ -283,7 +287,8 @@ class HyperellipticCurve:
 
     def validate_divisor(self, divisor: Divisor) -> None:
         for p, _ in divisor:
-            if not self.contains(p):
+            # the Weierstrass points are on the curve by construction
+            if p not in self._label_of_point and not self.contains(p):
                 raise ValueError(f"point {p} is not on the curve")
 
     # -- identity ------------------------------------------------------------

@@ -151,6 +151,14 @@ class TwoTorsionClass:
     def labels(self) -> tuple[str, ...]:
         return tuple(f"w{i}" for i in sorted(self.subset))
 
+    @property
+    def mask(self) -> int:
+        """The affine labels of the subset as a bit mask, bit i-1 for w_i:
+        the odd affine-ramification mask of every divisor of the class, so
+        a twist acts on h0 class keys by XOR."""
+        top = 2 * self.curve.genus + 1
+        return sum(1 << (i - 1) for i in self.subset if i <= top)
+
     def divisor_pair(self) -> EtaDivisorPair:
         """Split the canonical subset into first-k and last-k points; any
         split gives the same class since doubled ramification points move

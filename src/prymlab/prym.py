@@ -24,12 +24,11 @@ and the base-point / point-separation / trisecant probes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .curves import CurvePoint, Divisor, HyperellipticCurve
 from .jacobian import EtaDivisorPair, TwoTorsionClass, eta_canonical_k
-from .riemann_roch import h0
+from .riemann_roch import ClassKey, class_h0, h0, point_classes, residual_key, twisted_key
 
 GONALITY = 2  # every curve in this package is hyperelliptic
 
@@ -62,11 +61,6 @@ class PrymReport:
     pool_description: str
     iota_cliff: int | None
     probes: GeometryProbes | None = None
-
-
-def twist(curve: HyperellipticCurve, eta: TwoTorsionClass, d: Divisor) -> Divisor:
-    """A representative divisor of the eta-twist of the class of d."""
-    return eta.twist(d)
 
 
 def contributes(curve: HyperellipticCurve, eta: TwoTorsionClass, d: Divisor) -> bool:
@@ -180,24 +174,24 @@ def search_report(
     points, pool_description, covers = _normalised_pool(curve, pool)
     exact = covers and max_degree == g - 1
 
+    eta_mask = eta.mask
     best_key: tuple | None = None
-    witnesses: list[Divisor] = []
+    best_combos: list[tuple[CurvePoint, ...]] = []
     for degree in range(1, max_degree + 1):
-        for combo in itertools.combinations_with_replacement(points, degree):
-            d = Divisor.of_points(combo)
-            sections = h0(curve, d)
+        for combo, cls in point_classes(curve, points, degree):
+            sections = class_h0(curve, cls)
             if sections < 1:
                 continue
-            twisted = h0(curve, eta.twist(d))
+            twisted = class_h0(curve, twisted_key(curve, cls, eta_mask))
             if twisted < 1:
                 continue
             value = degree - sections - twisted + 1
             key = (value, (sections - 1, twisted - 1))
             if best_key is None or key < best_key:
                 best_key = key
-                witnesses = [d]
+                best_combos = [combo]
             elif key == best_key:
-                witnesses.append(d)
+                best_combos.append(combo)
 
     if best_key is None:
         return PrymReport(
@@ -216,6 +210,7 @@ def search_report(
 
     value, pair = best_key
     _bounds_check(g, value, exact)
+    witnesses = tuple(Divisor.of_points(combo) for combo in best_combos)
     witness = witnesses[0]  # minimal degree, then lexicographic order
     if clifford_of_divisor(curve, eta, witness) != value:
         raise ArithmeticError("witness re-certification failed: engine bug")
@@ -226,7 +221,7 @@ def search_report(
         cliff_eta=value,
         cliff_dim=pair,
         witness=witness,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         mode="search",
         pool_description=pool_description,
         iota_cliff=_iota_value(value),
@@ -297,10 +292,10 @@ def min_secant_degree(
     if eta.is_trivial:
         raise ValueError("the probe needs a nontrivial 2-torsion class")
     points, _, _ = _normalised_pool(curve, pool)
+    eta_mask = eta.mask
     for e in range(1, curve.genus):
-        for combo in itertools.combinations_with_replacement(points, e):
-            d = Divisor.of_points(combo)
-            if h0(curve, eta.twist(d)) >= 1:
+        for _, cls in point_classes(curve, points, e):
+            if class_h0(curve, twisted_key(curve, cls, eta_mask)) >= 1:
                 return e
     return None
 
@@ -318,19 +313,16 @@ def geometry_probes(curve: HyperellipticCurve, eta: TwoTorsionClass) -> Geometry
         raise ValueError("the probes need a nontrivial 2-torsion class")
     g = curve.genus
     pool = curve.weierstrass_points
-    canonical = curve.canonical_divisor()
+    eta_mask = eta.mask
 
-    base_points = tuple(
-        w for w in pool if h0(curve, eta.twist(Divisor.of_point(w))) >= 1
+    def twisted_h0(cls: ClassKey) -> int:
+        return class_h0(curve, twisted_key(curve, cls, eta_mask))
+
+    base_points = tuple(combo[0] for combo, cls in point_classes(curve, pool, 1) if twisted_h0(cls) >= 1)
+    unseparated = tuple(combo for combo, cls in point_classes(curve, pool, 2) if twisted_h0(cls) >= 1)
+    trisecants = tuple(
+        Divisor.of_points(combo)
+        for combo, cls in point_classes(curve, pool, 3)
+        if twisted_h0(residual_key(curve, cls)) == g - 3
     )
-    unseparated = tuple(
-        (p, q)
-        for p, q in itertools.combinations_with_replacement(pool, 2)
-        if h0(curve, eta.twist(Divisor.of_points((p, q)))) >= 1
-    )
-    trisecants = []
-    for combo in itertools.combinations_with_replacement(pool, 3):
-        d = Divisor.of_points(combo)
-        if h0(curve, eta.twist(canonical - d)) == g - 3:
-            trisecants.append(d)
-    return GeometryProbes(base_points, unseparated, tuple(trisecants))
+    return GeometryProbes(base_points, unseparated, trisecants)

@@ -14,13 +14,35 @@ D the space L(D) = {phi : div(phi) + D >= 0} is computed by
 
 and solving with the rational null-space routine.  Everything is exact; a
 dimension returned by `h0` is a certificate, not an estimate.
+
+`h0` is memoized per curve by divisor class.  The key of D is
+
+    (odd affine-ramification mask, ordinary-point terms, degree),
+
+where bit i-1 of the mask is set when w_i (1 <= i <= 2g+1) has an odd
+coefficient and the ordinary terms are D's (point, multiplicity) pairs off
+the ramification locus, in divisor order.  The key is exact, because h0
+depends only on the linear-equivalence class and two relations reduce the
+ramification part of D to the mask:
+
+  * div(x - r_i) = 2 w_i - 2 oo, so even parts of coefficients move to oo;
+  * div(y) = w_1 + ... + w_{2g+1} - (2g+1) oo, so a set T of odd points is
+    equivalent to its complement plus a multiple of oo, and the mask is
+    folded to the side with at most g bits.
+
+Equal keys therefore mean equivalent divisors of equal degree.  On a miss
+the kernel engine solves one representative of the class: each point of the
+mask with coefficient 1, then the ordinary terms, with oo taking the rest of
+the degree.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterator, Sequence
 
 from .curves import INFINITY, CurvePoint, Divisor, HyperellipticCurve
 from .linalg import kernel_basis
@@ -164,9 +186,9 @@ def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -
 
 
 def _space_matrix(curve: HyperellipticCurve, divisor: Divisor):
-    """Denominator, candidate monomials and exact condition rows for L(D)."""
+    """Denominator factors {x0: multiplicity}, candidate monomials and exact
+    condition rows for L(D)."""
     g = curve.genus
-    f = curve.f
     n_inf = divisor.coefficient(INFINITY)
 
     # Denominator from the positive affine part: (x - x_p)^{n_p} at ordinary
@@ -185,21 +207,16 @@ def _space_matrix(curve: HyperellipticCurve, divisor: Divisor):
     a_degrees = list(range(a_top + 1)) if a_top >= 0 else []
     b_degrees = list(range(b_top + 1)) if b_top >= 0 else []
     ncols = len(a_degrees) + len(b_degrees)
-
-    den = ONE
-    for x0 in sorted(den_mult):
-        den = den * Poly((-x0, 1)) ** den_mult[x0]
-
     if ncols == 0:
-        return den, a_degrees, b_degrees, [], 0
+        return den_mult, a_degrees, b_degrees, [], 0
 
     # Required numerator vanishing orders place by place: the order the
     # denominator introduces minus the order the divisor allows.
     required: dict[CurvePoint, int] = {}
     coeff_at = {p: n for p, n in affine_terms}
     for x0, mult in den_mult.items():
-        if f.evaluate(x0) == 0:
-            w = CurvePoint(x0, Fraction(0))
+        w = CurvePoint(x0, Fraction(0))
+        if curve.weierstrass_index(w) is not None:
             t = 2 * mult - coeff_at.get(w, 0)
             if t > 0:
                 required[w] = t
@@ -251,7 +268,7 @@ def _space_matrix(curve: HyperellipticCurve, divisor: Divisor):
             for order in range(t):
                 rows.append([col[order] for col in cols])
 
-    return den, a_degrees, b_degrees, rows, ncols
+    return den_mult, a_degrees, b_degrees, rows, ncols
 
 
 def riemann_roch_space(curve: HyperellipticCurve, divisor: Divisor) -> RRSpace:
@@ -260,10 +277,13 @@ def riemann_roch_space(curve: HyperellipticCurve, divisor: Divisor) -> RRSpace:
     The empty space has dimension 0; no error cases.
     """
     curve.validate_divisor(divisor)
-    den, a_degrees, b_degrees, rows, ncols = _space_matrix(curve, divisor)
+    den_mult, a_degrees, b_degrees, rows, ncols = _space_matrix(curve, divisor)
     if ncols == 0:
         return RRSpace(divisor, ())
     vectors = kernel_basis(rows, ncols)
+    den = ONE
+    for x0 in sorted(den_mult):
+        den = den * Poly((-x0, 1)) ** den_mult[x0]
     na = len(a_degrees)
     basis = []
     for vec in vectors:
@@ -277,20 +297,103 @@ def riemann_roch_space(curve: HyperellipticCurve, divisor: Divisor) -> RRSpace:
     return RRSpace(divisor, tuple(basis))
 
 
-def h0(curve: HyperellipticCurve, divisor: Divisor) -> int:
-    """dim L(D).  Cached per curve; the cache is a pure memo table."""
+# ---------------------------------------------------------------------------
+# h0 memoized by divisor class
+
+# (folded odd affine-ramification mask, ordinary (point, multiplicity) terms, degree)
+ClassKey = tuple[int, tuple[tuple[CurvePoint, int], ...], int]
+
+
+def _fold(curve: HyperellipticCurve, mask: int) -> int:
+    """The side of {mask, complement} with at most g points (div(y))."""
+    g = curve.genus
+    return mask ^ ((1 << (2 * g + 1)) - 1) if mask.bit_count() > g else mask
+
+
+def _mask_bit(curve: HyperellipticCurve, point: CurvePoint) -> int | None:
+    """The point's bit in the odd mask (0 for oo), None for an ordinary point.
+
+    Rejects a y = 0 point that is not one of the curve's Weierstrass points,
+    so a warm memo never lets it through; ordinary points are checked on the
+    miss that stores their key, since they stay in the key as they are.
+    """
+    if point.y:
+        return None
+    idx = curve.weierstrass_index(point)
+    if idx is None:
+        raise ValueError(f"point {point} is not on the curve")
+    return 1 << (idx - 1) if idx <= 2 * curve.genus + 1 else 0
+
+
+def class_key(curve: HyperellipticCurve, divisor: Divisor) -> ClassKey:
+    """The memo key of D's class."""
+    mask = 0
+    ordinary = []
+    for p, n in divisor:
+        bit = _mask_bit(curve, p)
+        if bit is None:
+            ordinary.append((p, n))
+        elif n % 2:
+            mask ^= bit
+    return _fold(curve, mask), tuple(ordinary), divisor.degree
+
+
+def point_classes(
+    curve: HyperellipticCurve, points: Sequence[CurvePoint], degree: int
+) -> Iterator[tuple[tuple[CurvePoint, ...], ClassKey]]:
+    """(combo, class key) for each combination with replacement of `degree`
+    of the points, in `itertools.combinations_with_replacement` order."""
+    bits = [_mask_bit(curve, p) for p in points]
+    combos = itertools.combinations_with_replacement(points, degree)
+    for combo, combo_bits in zip(combos, itertools.combinations_with_replacement(bits, degree)):
+        mask = 0
+        ordinary: dict[CurvePoint, int] = {}
+        for p, bit in zip(combo, combo_bits):
+            if bit is None:
+                ordinary[p] = ordinary.get(p, 0) + 1
+            else:
+                mask ^= bit
+        terms = tuple(sorted(ordinary.items(), key=lambda t: t[0].sort_key())) if ordinary else ()
+        yield combo, (_fold(curve, mask), terms, degree)
+
+
+def twisted_key(curve: HyperellipticCurve, key: ClassKey, mask: int) -> ClassKey:
+    """The key of D + E for a degree-0 E whose odd affine-ramification mask
+    is `mask` (a 2-torsion class and its twist)."""
+    return _fold(curve, key[0] ^ mask), key[1], key[2]
+
+
+def residual_key(curve: HyperellipticCurve, key: ClassKey) -> ClassKey:
+    """The key of K - D, K = (2g-2) oo: odd parts keep their parity."""
+    mask, ordinary, degree = key
+    return mask, tuple((p, -n) for p, n in ordinary), 2 * curve.genus - 2 - degree
+
+
+def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
+    """dim L(D) for the class with this key, from the per-curve memo; a miss
+    counts the kernel of the condition matrix of the class representative."""
     cache = curve._h0_cache
-    key = divisor
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    if divisor.degree < 0:
+    dim = cache.get(key)
+    if dim is not None:
+        return dim
+    mask, ordinary, degree = key
+    terms = [(w, 1) for i, w in enumerate(curve.weierstrass_points[:-1]) if mask >> i & 1]
+    terms.extend(ordinary)
+    terms.append((INFINITY, degree - sum(n for _, n in terms)))
+    representative = Divisor(terms)
+    curve.validate_divisor(representative)
+    if degree < 0:
         dim = 0
-        curve.validate_divisor(divisor)
     else:
-        dim = riemann_roch_space(curve, divisor).dimension
+        _, _, _, rows, ncols = _space_matrix(curve, representative)
+        dim = len(kernel_basis(rows, ncols))
     cache[key] = dim
     return dim
+
+
+def h0(curve: HyperellipticCurve, divisor: Divisor) -> int:
+    """dim L(D).  Memoized per curve by divisor class; the memo is pure."""
+    return class_h0(curve, class_key(curve, divisor))
 
 
 def is_linearly_equivalent(curve: HyperellipticCurve, d1: Divisor, d2: Divisor) -> bool:

@@ -1,10 +1,12 @@
 """The twisted Clifford index, its dimension pair, and the geometric probes."""
 
+import itertools
 import random
 
 import pytest
 
 from prymlab import (
+    CurvePoint,
     Divisor,
     NonContributingError,
     clifford_dimension,
@@ -17,6 +19,7 @@ from prymlab import (
     h0,
     iota_invariant_index,
     min_secant_degree,
+    riemann_roch_space,
     search_report,
     secant_membership,
     standard_curve,
@@ -155,6 +158,35 @@ def test_search_pool_with_ordinary_points():
     report = search_report(c, eta, pool=pool)
     assert report.cliff_eta == 0
     assert report.pool_description == "custom(8 points)"
+
+
+@pytest.mark.parametrize("pool_labels", [("w1", "w5"), ("w1", "w3", "w5", "w8")])
+@pytest.mark.parametrize("labels", [("w2", "w4"), ("w3", "w8"), ("w1", "w2", "w3", "w6"), ("w2", "w4", "w6", "w7")])
+def test_search_over_ordinary_pool_matches_brute_force(pool_labels, labels):
+    # every pool divisor and its twist solved unkeyed, without the h0 memo;
+    # the cases include witnesses through the marked pair and empty results
+    c, marked = curve_with_marked_point(3)
+    eta = two_torsion_from_subset(c, labels)
+    pool = [c.weierstrass_point(l) for l in pool_labels] + [marked, marked.conjugate()]
+    best, witnesses, secant = None, [], None
+    for degree in range(1, c.genus):
+        for combo in itertools.combinations_with_replacement(sorted(pool, key=CurvePoint.sort_key), degree):
+            d = Divisor.of_points(combo)
+            sections = riemann_roch_space(c, d).dimension
+            twisted = riemann_roch_space(c, eta.twist(d)).dimension
+            if twisted >= 1 and secant is None:
+                secant = degree
+            if sections < 1 or twisted < 1:
+                continue
+            key = (degree - sections - twisted + 1, (sections - 1, twisted - 1))
+            if best is None or key < best:
+                best, witnesses = key, [d]
+            elif key == best:
+                witnesses.append(d)
+    report = search_report(c, eta, pool=pool)
+    assert (report.cliff_eta, report.cliff_dim) == (best or (None, None))
+    assert report.witnesses == tuple(witnesses)
+    assert min_secant_degree(c, eta, pool) == secant
 
 
 def test_search_validates_arguments():

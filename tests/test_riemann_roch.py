@@ -7,15 +7,19 @@ import pytest
 from prymlab import (
     INFINITY,
     CurveFunction,
+    CurvePoint,
     Divisor,
+    HyperellipticCurve,
     Poly,
     curve_with_marked_point,
+    enumerate_two_torsion,
     h0,
     is_linearly_equivalent,
     riemann_roch_space,
     standard_curve,
     valuation,
 )
+from prymlab.riemann_roch import class_key, residual_key, twisted_key
 from support import random_weierstrass_divisor, weierstrass_h0_oracle
 
 Y = CurveFunction.make(Poly(), Poly((1,)), Poly((1,)))
@@ -209,8 +213,6 @@ def test_rr_space_of_empty_divisor():
 
 
 def test_rr_space_rejects_points_off_curve():
-    from prymlab import CurvePoint
-
     c = standard_curve(2)
     fake = CurvePoint.affine(1, 7)
     with pytest.raises(ValueError):
@@ -222,4 +224,78 @@ def test_memo_cache_is_pure():
     d = Divisor.of_points(c.weierstrass_points[:3])
     first = h0(c, d)
     assert h0(c, d) == first
-    assert c._h0_cache[d] == first
+    assert c._h0_cache[class_key(c, d)] == first
+
+
+def _class_key_divisors(rng, curve, marked, count):
+    """Seeded divisors with even and negative ramification coefficients, odd
+    sets larger than g half of the time, and the marked point and its
+    conjugate."""
+    g = curve.genus
+    affine = list(curve.weierstrass_points[:-1])
+    out = []
+    for i in range(count):
+        if i % 2:
+            support = rng.sample(affine, rng.randint(g + 1, 2 * g + 1))
+            terms = [(w, rng.choice((-3, -1, 1, 3))) for w in support]
+        else:
+            support = rng.sample(affine, rng.randint(1, 2 * g + 1))
+            terms = [(w, rng.choice((-2, -1, 1, 2, 3))) for w in support]
+        terms += [(marked, rng.randint(-2, 2)), (marked.conjugate(), rng.randint(-2, 2))]
+        affine_degree = sum(n for _, n in terms)
+        terms.append((INFINITY, rng.randint(-1, 2 * g) - affine_degree))
+        out.append(Divisor(terms))
+    return out
+
+
+@pytest.mark.parametrize("genus", [3, 4])
+def test_class_key_h0_matches_unkeyed_solve(genus):
+    marked_curve, marked = curve_with_marked_point(genus)
+    c = HyperellipticCurve(marked_curve.roots)  # a fresh, empty memo
+    divisors = _class_key_divisors(random.Random(f"class-key:{genus}"), c, marked, 24)
+    expected = [riemann_roch_space(c, d).dimension for d in divisors]
+    assert any(bin(class_key(c, d)[0]).count("1") < sum(n % 2 for p, n in d if p.y == 0) for d in divisors)
+    cold = []
+    for d in divisors:
+        c._h0_cache.clear()
+        cold.append(h0(c, d))
+    assert cold == expected
+    for d in divisors:
+        h0(c, d)
+    entries = len(c._h0_cache)
+    assert [h0(c, d) for d in divisors] == expected
+    assert len(c._h0_cache) == entries  # every lookup was a hit
+
+
+def test_class_key_is_shared_by_equivalent_divisors():
+    c, marked = curve_with_marked_point(3)
+    w = c.weierstrass_points
+    d = Divisor(((w[0], 1), (w[3], -1), (marked, 2), (INFINITY, 1)))
+    pencil = c.pencil_divisor()
+    div_y = Divisor.of_points(w[:-1]) - Divisor.of_point(INFINITY, 2 * c.genus + 1)
+    key = class_key(c, d)
+    assert class_key(c, d + 2 * Divisor.of_point(w[2]) - pencil) == key
+    assert class_key(c, d - div_y) == key
+    assert bin(key[0]).count("1") <= c.genus
+
+
+@pytest.mark.parametrize("genus", [3, 4])
+def test_twisted_and_residual_keys_match_divisor_keys(genus):
+    c, marked = curve_with_marked_point(genus)
+    canonical = c.canonical_divisor()
+    etas = enumerate_two_torsion(c)
+    divisors = _class_key_divisors(random.Random(f"derived-keys:{genus}"), c, marked, 12)
+    for i, d in enumerate(divisors):
+        eta = etas[(7 * i) % len(etas)]
+        key = class_key(c, d)
+        assert twisted_key(c, key, eta.mask) == class_key(c, eta.twist(d))
+        assert residual_key(c, key) == class_key(c, canonical - d)
+
+
+def test_warm_class_key_still_rejects_off_curve_ramification_point():
+    c = HyperellipticCurve(range(1, 8))
+    d = Divisor.of_points(c.weierstrass_points[:2])
+    h0(c, d)
+    bad = d + Divisor(((CurvePoint.affine(10, 0), 2), (INFINITY, -2)))
+    with pytest.raises(ValueError):
+        h0(c, bad)
