@@ -121,10 +121,10 @@ def _cmd_cliff(args) -> int:
             pool = None
             if args.pool not in (None, "weierstrass"):
                 data = _load_json(args.pool)
-                try:
-                    pool = [point_from_dict(p, curve) for p in data.get("points", [])]
-                except ValueError as exc:
-                    raise InputError(str(exc)) from None
+                points = data.get("points", []) if isinstance(data, dict) else None
+                if not isinstance(points, list):
+                    raise ValueError("pool JSON needs a 'points' list")
+                pool = [point_from_dict(p, curve) for p in points]
             report = search_report(
                 curve, eta, pool=pool, max_degree=args.max_degree,
                 include_probes=not args.no_probes,

@@ -26,6 +26,13 @@ class CurvePoint:
     x: Fraction | None
     y: Fraction | None
 
+    def __post_init__(self):
+        # the generated hash, computed once: points key many dict lookups
+        object.__setattr__(self, "_hash", hash((self.x, self.y)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def affine(cls, x: Coefficient, y: Coefficient) -> "CurvePoint":
         return cls(as_fraction(x), as_fraction(y))
@@ -91,7 +98,7 @@ class Divisor:
                 (p, n) for p, n in sorted(acc.items(), key=lambda t: t[0].sort_key()) if n
             )
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
@@ -167,6 +174,8 @@ class Divisor:
         return isinstance(other, Divisor) and self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._hash is None:  # computed on first use: most divisors are never hashed
+            object.__setattr__(self, "_hash", hash(self._terms))
         return self._hash
 
     def __str__(self) -> str:

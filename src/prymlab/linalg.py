@@ -1,16 +1,72 @@
 """Exact dense linear algebra over the rationals.
 
-Only what the Riemann-Roch solver needs: a deterministic right-null-space
-computation.  Pivoting is by leftmost column with the first nonzero row, all
-arithmetic is exact, so identical inputs always give identical bases.
+Only what the Riemann-Roch solver needs: a right null space and a rank, both
+from one fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  Each
+row is first scaled to integers by the lcm of its denominators, which leaves
+the kernel and the rank unchanged; the elimination then runs over Python
+ints and every division by the previous pivot is exact.  Pivoting is by
+leftmost column with the first nonzero row.  The reduced echelon form is
+unique, so the bases do not depend on the pivoting and identical inputs
+always give identical bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-Matrix = Sequence[Sequence[Fraction]]
+Matrix = Sequence[Sequence[Fraction | int]]
+
+
+def _integer_rows(matrix: Matrix, cols: int) -> list[list[int]]:
+    """The nonzero rows, each times the lcm of its denominators."""
+    rows = []
+    for r in matrix:
+        if len(r) != cols:
+            raise ValueError("ragged matrix")
+        scale = lcm(*{c.denominator for c in r})
+        row = [c.numerator * (scale // c.denominator) for c in r]
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def _eliminate(rows: list[list[int]], cols: int, reduce: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination of integer rows in place.
+
+    Returns the pivot columns and the last pivot d.  Afterwards row i (for i
+    below the rank) has its pivot in column pivots[i], and the rows below
+    the rank are zero.  With `reduce`, the pivot columns are also cleared
+    above the pivots, every pivot equals d, and the rows divided by d are the
+    reduced echelon form (fraction-free Gauss-Jordan).
+    """
+    n = len(rows)
+    pivots: list[int] = []
+    prev = 1
+    for col in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        sel = next((i for i in range(r, n) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        prow = rows[r]
+        piv = prow[col]
+        # rows below are zero left of col; rows above keep free columns there
+        for i in range(n) if reduce else range(r + 1, n):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[col]
+            if f:
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+            elif piv != prev:
+                rows[i] = [piv * a // prev for a in row]
+        pivots.append(col)
+        prev = piv
+    return pivots, prev
 
 
 def kernel_basis(matrix: Matrix, cols: int) -> list[list[Fraction]]:
@@ -22,79 +78,23 @@ def kernel_basis(matrix: Matrix, cols: int) -> list[list[Fraction]]:
     first nonzero entry is 1; stacked as rows the result is in reduced
     echelon form.  The dimension is cols - rank.
     """
-    rows = [list(r) for r in matrix]
-    for r in rows:
-        if len(r) != cols:
-            raise ValueError("ragged matrix")
-
-    # Gauss-Jordan to reduced row echelon form.
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(cols):
-        sel = None
-        for i in range(pivot_row, len(rows)):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        row = rows[pivot_row]
-        inv = 1 / Fraction(row[col])
-        for j in range(col, cols):
-            row[j] = row[j] * inv
-        for i in range(len(rows)):
-            if i == pivot_row:
-                continue
-            factor = rows[i][col]
-            if factor:
-                other = rows[i]
-                for j in range(col, cols):
-                    other[j] = other[j] - factor * row[j]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-
+    rows = _integer_rows(matrix, cols)
+    pivots, d = _eliminate(rows, cols, reduce=True)
     pivot_set = set(pivots)
     basis: list[list[Fraction]] = []
     for free in range(cols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -Fraction(rows[i][free])
-        lead = next(c for c in vec if c != 0)
-        if lead != 1:
-            inv = 1 / lead
-            vec = [c * inv for c in vec]
-        basis.append([Fraction(c) for c in vec])
+        # d times the kernel vector with a 1 in the free column
+        vec = [0] * cols
+        vec[free] = d
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[free]
+        lead = next(c for c in vec if c)
+        basis.append([Fraction(c, lead) for c in vec])
     return basis
 
 
 def matrix_rank(matrix: Matrix, cols: int) -> int:
-    """Rank by forward elimination, exact."""
-    rows = [list(r) for r in matrix]
-    rank = 0
-    for col in range(cols):
-        sel = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        row = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col]
-            if factor:
-                scale = factor / row[col]
-                other = rows[i]
-                for j in range(col, cols):
-                    other[j] = other[j] - scale * row[j]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank by fraction-free forward elimination, exact."""
+    return len(_eliminate(_integer_rows(matrix, cols), cols, reduce=False)[0])

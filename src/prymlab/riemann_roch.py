@@ -12,8 +12,9 @@ D the space L(D) = {phi : div(phi) + D >= 0} is computed by
     parity/divisibility conditions at ramification points, power-series
     coefficient conditions at split pairs of ordinary points,
 
-and solving with the rational null-space routine.  Everything is exact; a
-dimension returned by `h0` is a certificate, not an estimate.
+and eliminating with the fraction-free routine of `linalg`: a basis is the
+null space, `h0` is ncols minus the rank.  Everything is exact; a dimension
+returned by `h0` is a certificate, not an estimate.
 
 `h0` is memoized per curve by divisor class.  The key of D is
 
@@ -31,7 +32,7 @@ ramification part of D to the mask:
     folded to the side with at most g bits.
 
 Equal keys therefore mean equivalent divisors of equal degree.  On a miss
-the kernel engine solves one representative of the class: each point of the
+the kernel engine ranks one representative of the class: each point of the
 mask with coefficient 1, then the ordinary terms, with oo taking the rest of
 the degree.
 """
@@ -45,7 +46,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .curves import INFINITY, CurvePoint, Divisor, HyperellipticCurve
-from .linalg import kernel_basis
+from .linalg import kernel_basis, matrix_rank
 from .polynomials import ONE, Poly, poly_gcd
 from .series import TruncatedSeries, series_sqrt_branch
 
@@ -185,9 +186,19 @@ def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -
 # Riemann-Roch spaces
 
 
+def _taylor_rows(x0: Fraction, size: int, orders: int) -> list[list[int]]:
+    """Order-l Taylor rows (l < orders) of x^0..x^(size-1) at x0 = p/q, times
+    q^(size-1-l) to make them integers: comb(i, l) p^(i-l) q^(size-1-i)."""
+    p, q = x0.numerator, x0.denominator
+    return [
+        [comb(i, l) * p ** (i - l) * q ** (size - 1 - i) if i >= l else 0 for i in range(size)]
+        for l in range(orders)
+    ]
+
+
 def _space_matrix(curve: HyperellipticCurve, divisor: Divisor):
     """Denominator factors {x0: multiplicity}, candidate monomials and exact
-    condition rows for L(D)."""
+    condition rows for L(D), integer ones at ramification points."""
     g = curve.genus
     n_inf = divisor.coefficient(INFINITY)
 
@@ -230,24 +241,15 @@ def _space_matrix(curve: HyperellipticCurve, divisor: Divisor):
         if n < 0 and p.x not in den_mult:
             required[p] = -n
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[Fraction | int]] = []
     for q in sorted(required, key=CurvePoint.sort_key):
         t = required[q]
         x0 = q.x
         if q.is_weierstrass:
             # ord(a) = 2 mult_x0(a), ord(b*y) = 2 mult_x0(b) + 1
-            for order in range((t + 1) // 2):
-                row = [
-                    comb(i, order) * x0 ** (i - order) if i >= order else Fraction(0)
-                    for i in a_degrees
-                ] + [Fraction(0)] * len(b_degrees)
-                rows.append(row)
-            for order in range(t // 2):
-                row = [Fraction(0)] * len(a_degrees) + [
-                    comb(j, order) * x0 ** (j - order) if j >= order else Fraction(0)
-                    for j in b_degrees
-                ]
-                rows.append(row)
+            na, nb = len(a_degrees), len(b_degrees)
+            rows.extend(row + [0] * nb for row in _taylor_rows(x0, na, (t + 1) // 2))
+            rows.extend([0] * na + row for row in _taylor_rows(x0, nb, t // 2))
         else:
             branch = _branch(curve, q, t).coeffs
             a_cols = [
@@ -255,8 +257,7 @@ def _space_matrix(curve: HyperellipticCurve, divisor: Divisor):
                 for i in a_degrees
             ]
             b_cols = []
-            for j in b_degrees:
-                tay = [comb(j, l) * x0 ** (j - l) if j >= l else Fraction(0) for l in range(t)]
+            for tay in a_cols[: len(b_degrees)]:  # b_top < a_top: x^j's Taylor column
                 conv = [Fraction(0)] * t
                 for i1, c1 in enumerate(tay):
                     if c1:
@@ -264,9 +265,7 @@ def _space_matrix(curve: HyperellipticCurve, divisor: Divisor):
                             if branch[i2]:
                                 conv[i1 + i2] += c1 * branch[i2]
                 b_cols.append(conv)
-            cols = a_cols + b_cols
-            for order in range(t):
-                rows.append([col[order] for col in cols])
+            rows.extend(list(row) for row in zip(*a_cols, *b_cols))
 
     return den_mult, a_degrees, b_degrees, rows, ncols
 
@@ -371,7 +370,7 @@ def residual_key(curve: HyperellipticCurve, key: ClassKey) -> ClassKey:
 
 def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
     """dim L(D) for the class with this key, from the per-curve memo; a miss
-    counts the kernel of the condition matrix of the class representative."""
+    is ncols minus the rank of the class representative's condition matrix."""
     cache = curve._h0_cache
     dim = cache.get(key)
     if dim is not None:
@@ -386,7 +385,7 @@ def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
         dim = 0
     else:
         _, _, _, rows, ncols = _space_matrix(curve, representative)
-        dim = len(kernel_basis(rows, ncols))
+        dim = ncols - matrix_rank(rows, ncols)
     cache[key] = dim
     return dim
 

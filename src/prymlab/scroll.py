@@ -81,17 +81,20 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     return tuple(drops)
 
 
-def scroll_type(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, int]:
-    """(e1, e2) from the drop sequence, checked against (g-1-k, k-2)."""
-    drops = dj_sequence(curve, eta)
+def _type_of_drops(drops: tuple[int, ...], genus: int, k: int) -> tuple[int, int]:
+    """(e1, e2) from a drop sequence, checked against (g-1-k, k-2)."""
     e1 = sum(1 for d in drops if d >= 1) - 1
     e2 = sum(1 for d in drops if d >= 2) - 1
-    g, k = curve.genus, eta.k
-    if (e1, e2) != (g - 1 - k, k - 2):
+    if (e1, e2) != (genus - 1 - k, k - 2):
         raise ScrollMismatchError(
-            f"drop-derived type {(e1, e2)} != closed form {(g - 1 - k, k - 2)}"
+            f"drop-derived type {(e1, e2)} != closed form {(genus - 1 - k, k - 2)}"
         )
     return e1, e2
+
+
+def scroll_type(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, int]:
+    """(e1, e2) from the drop sequence, checked against (g-1-k, k-2)."""
+    return _type_of_drops(dj_sequence(curve, eta), curve.genus, eta.k)
 
 
 def park_parameters(genus: int, k: int) -> tuple[int, int, int]:
@@ -115,8 +118,8 @@ def park_parameters(genus: int, k: int) -> tuple[int, int, int]:
 def scroll_report(curve: HyperellipticCurve, eta: TwoTorsionClass) -> ScrollReport:
     """Full scroll/syzygy report; syzygy fields are None for k = 2."""
     drops = dj_sequence(curve, eta)
-    e1, e2 = scroll_type(curve, eta)
     g, k = curve.genus, eta.k
+    e1, e2 = _type_of_drops(drops, g, k)
     if k >= 3:
         nu, p, regularity = park_parameters(g, k)
     else:

@@ -24,8 +24,15 @@ def rational_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def rational_from_str(text: str) -> Fraction:
-    return Fraction(text)
+def rational_from_str(text: str | int) -> Fraction:
+    """A "num/den" or decimal string, or a JSON integer; a float or a bool
+    is refused rather than read as its binary expansion."""
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
+        raise ValueError(f"not an exact rational: {text!r} (write it as a string, e.g. \"1/10\")")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # -- curves -----------------------------------------------------------------
@@ -48,10 +55,9 @@ def curve_to_dict(curve: HyperellipticCurve) -> dict:
 
 
 def curve_from_dict(data: dict) -> HyperellipticCurve:
-    try:
-        roots = [rational_from_str(r) for r in data["roots"]]
-    except KeyError:
-        raise ValueError("curve JSON needs a 'roots' list") from None
+    if not isinstance(data, dict) or not isinstance(data.get("roots"), list):
+        raise ValueError("curve JSON needs a 'roots' list")
+    roots = [rational_from_str(r) for r in data["roots"]]
     curve = HyperellipticCurve(roots)
     if "genus" in data and data["genus"] != curve.genus:
         raise ValueError(
@@ -80,6 +86,8 @@ def point_from_dict(
         if curve is None:
             raise ValueError("point labels need a curve context")
         return curve.weierstrass_point(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"cannot read a point from {data!r}")
     if data.get("at_infinity"):
         return INFINITY
     if "label" in data:
@@ -103,11 +111,16 @@ def divisor_to_dict(divisor: Divisor, curve: HyperellipticCurve | None = None) -
 
 
 def divisor_from_dict(data: dict, curve: HyperellipticCurve | None = None) -> Divisor:
-    if "terms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise ValueError("divisor JSON needs a 'terms' list")
     terms = []
     for item in data["terms"]:
-        terms.append((point_from_dict(item["point"], curve), int(item["mult"])))
+        if not isinstance(item, dict) or "point" not in item:
+            raise ValueError(f"divisor term {item!r} needs a 'point'")
+        mult = item.get("mult")
+        if isinstance(mult, bool) or not isinstance(mult, int):
+            raise ValueError(f"divisor multiplicity {mult!r} is not an integer")
+        terms.append((point_from_dict(item["point"], curve), mult))
     return Divisor(terms)
 
 

@@ -3,8 +3,48 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from prymlab import Divisor, HyperellipticCurve
+
+
+def gauss_jordan_oracle(matrix, cols: int) -> tuple[list[list[Fraction]], int]:
+    """(null-space basis, rank) by plain Gauss-Jordan over Fractions.
+
+    Reference for `prymlab.linalg`: the same pivoting and normalisation
+    (vectors ordered by free column, first nonzero entry 1), computed with
+    exact rational row operations instead of fraction-free ones.
+    """
+    rows = [[Fraction(c) for c in r] for r in matrix]
+    pivots: list[int] = []
+    for col in range(cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        sel = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        row = rows[r]
+        inv = 1 / row[col]
+        row[:] = [c * inv for c in row]
+        for i, other in enumerate(rows):
+            factor = other[col]
+            if i != r and factor:
+                other[:] = [a - factor * b for a, b in zip(other, row)]
+        pivots.append(col)
+
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rows[i][free]
+        lead = next(c for c in vec if c != 0)
+        basis.append([c / lead for c in vec])
+    return basis, len(pivots)
 
 
 def weierstrass_h0_oracle(curve: HyperellipticCurve, divisor: Divisor) -> int:

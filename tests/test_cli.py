@@ -146,3 +146,64 @@ def test_table_format(capsys):
     assert "nu\t4" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def _h0_with_divisor(tmp_path, capsys, divisor_json):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps({"roots": ["1", "2", "3", "4", "5"]}))
+    divisor_file = tmp_path / "div.json"
+    divisor_file.write_text(json.dumps(divisor_json))
+    return run_cli(capsys, "h0", "--curve", str(curve_file), "--divisor", str(divisor_file))
+
+
+@pytest.mark.parametrize("mult", [2.7, True, "2", None])
+def test_h0_rejects_non_integer_multiplicity(tmp_path, capsys, mult):
+    term = {"point": {"label": "w1"}, "mult": mult}
+    code, out, err = _h0_with_divisor(tmp_path, capsys, {"terms": [term]})
+    assert code == 2 and out == ""
+    assert "not an integer" in err
+
+
+def test_h0_rejects_term_without_point(tmp_path, capsys):
+    code, out, err = _h0_with_divisor(tmp_path, capsys, {"terms": [{"mult": 1}]})
+    assert code == 2 and out == ""
+    assert "needs a 'point'" in err
+
+
+@pytest.mark.parametrize("roots", [[0.1, 1, 2, 3, 4], [True, 2, 3, 4, 5]])
+def test_curve_rejects_float_and_bool_rationals(tmp_path, capsys, roots):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps({"roots": roots}))
+    code, out, err = run_cli(capsys, "eta", "list", "--curve", str(curve_file))
+    assert code == 2 and out == ""
+    assert "not an exact rational" in err
+
+
+def test_h0_rejects_float_point_coordinate(tmp_path, capsys):
+    term = {"point": {"x": 0.5, "y": "0"}, "mult": 1}
+    code, out, err = _h0_with_divisor(tmp_path, capsys, {"terms": [term]})
+    assert code == 2 and out == ""
+    assert "not an exact rational" in err
+
+
+@pytest.mark.parametrize("roots", ["12345", {"1": 2}])
+def test_curve_rejects_roots_that_are_not_a_list(tmp_path, capsys, roots):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps({"roots": roots}))
+    code, out, err = run_cli(capsys, "eta", "list", "--curve", str(curve_file))
+    assert code == 2 and out == ""
+    assert "'roots' list" in err
+
+
+@pytest.mark.parametrize("pool", [[{"label": "w1"}], {"points": "w1"}, {"points": [[1, 2]]}])
+def test_cliff_rejects_malformed_pool(tmp_path, capsys, pool):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps({"roots": ["1", "2", "3", "4", "5"]}))
+    pool_file = tmp_path / "pool.json"
+    pool_file.write_text(json.dumps(pool))
+    code, out, err = run_cli(
+        capsys, "cliff", "--curve", str(curve_file), "--eta", "w1,w2", "--mode", "search",
+        "--pool", str(pool_file),
+    )
+    assert code == 2 and out == ""
+    assert "error" in err

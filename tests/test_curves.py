@@ -7,6 +7,7 @@ import pytest
 
 from prymlab import (
     INFINITY,
+    CurvePoint,
     Divisor,
     HyperellipticCurve,
     curve_with_marked_point,
@@ -118,3 +119,24 @@ def test_fractional_roots_accepted():
     c = new_curve(["1/2", 1, 2, 3, 4])
     assert c.roots[0] == Fraction(1, 2)
     assert c.genus == 2
+
+
+def test_equal_points_and_divisors_hash_equal():
+    p = CurvePoint.affine("1/2", 3)
+    q = CurvePoint(Fraction(2, 4), Fraction(3))
+    assert p == q and p is not q
+    assert hash(p) == hash(q) == hash((Fraction(1, 2), Fraction(3)))
+    assert p.conjugate().conjugate() == p
+    assert hash(p.conjugate().conjugate()) == hash(p)
+    assert CurvePoint(None, None) == INFINITY
+    assert hash(CurvePoint(None, None)) == hash(INFINITY) == hash((None, None))
+    assert len({p, q, p.conjugate(), INFINITY, CurvePoint(None, None)}) == 3
+
+    d1 = Divisor([(p, 2), (INFINITY, -1)])
+    d2 = Divisor({INFINITY: -1, q: 2})
+    d3 = Divisor([(q, 3), (p.conjugate(), 1), (INFINITY, -1)]) - Divisor([(p, 1), (p.conjugate(), 1)])
+    assert d1 == d2 == d3
+    assert hash(d1) == hash(d2) == hash(d3) == hash(d1.terms)
+    assert hash(Divisor(d1)) == hash(d1)
+    assert {d1: "x"}[d3] == "x"
+    assert hash(Divisor()) == hash(Divisor.zero()) == hash(())

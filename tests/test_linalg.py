@@ -1,9 +1,21 @@
-"""Exact null-space computation."""
+"""Exact null-space and rank computation."""
 
 import random
 from fractions import Fraction
 
-from prymlab import kernel_basis, matrix_rank
+import pytest
+
+from prymlab import (
+    HyperellipticCurve,
+    curve_with_marked_point,
+    kernel_basis,
+    matrix_rank,
+    riemann_roch,
+    two_torsion_from_subset,
+)
+from prymlab.prym import search_report
+from prymlab.scroll import scroll_report
+from support import gauss_jordan_oracle
 
 
 def test_full_rank_has_empty_kernel():
@@ -64,3 +76,99 @@ def test_basis_leading_entries_are_one():
         for vec in kernel_basis(m, 4):
             lead = next(c for c in vec if c != 0)
             assert lead == 1
+
+
+def _seeded_matrix(rng: random.Random):
+    """A small matrix of one of four kinds: dense rationals, a certified
+    low-rank product, dense with zero rows mixed in, or one without rows."""
+    rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+    kind = rng.choice(("dense", "low_rank", "zero_rows", "empty"))
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12)))
+
+    if kind == "empty":
+        return [], cols
+    if kind == "low_rank":
+        r = rng.randint(0, min(rows, cols))
+        left = [[entry() for _ in range(r)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(r)]
+        matrix = [
+            [sum((left[i][t] * right[t][j] for t in range(r)), Fraction(0)) for j in range(cols)]
+            for i in range(rows)
+        ]
+        return matrix, cols
+    matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero_rows":
+        for _ in range(rng.randint(1, 3)):
+            matrix.insert(rng.randint(0, len(matrix)), [Fraction(0)] * cols)
+    return matrix, cols
+
+
+def test_matches_gauss_jordan_oracle_on_seeded_matrices():
+    rng = random.Random(2024)
+    for _ in range(2500):
+        matrix, cols = _seeded_matrix(rng)
+        basis, rank = gauss_jordan_oracle(matrix, cols)
+        assert kernel_basis(matrix, cols) == basis, matrix
+        assert matrix_rank(matrix, cols) == rank, matrix
+        # integer entries and a mixed int/Fraction row give the same answers
+        as_ints = [[c.numerator for c in row] for row in matrix]
+        assert kernel_basis(as_ints, cols) == gauss_jordan_oracle(as_ints, cols)[0]
+        assert matrix_rank(as_ints, cols) == gauss_jordan_oracle(as_ints, cols)[1]
+
+
+def test_kernel_entries_are_fractions():
+    for vec in kernel_basis([[2, 4, 6]], 3):
+        assert all(type(c) is Fraction for c in vec)
+
+
+def test_ragged_matrix_is_rejected():
+    with pytest.raises(ValueError):
+        kernel_basis([[1, 2], [3]], 2)
+    with pytest.raises(ValueError):
+        matrix_rank([[1, 2, 3]], 2)
+
+
+@pytest.fixture
+def recorded_matrices(monkeypatch):
+    """Every (rows, cols) the Riemann-Roch engine eliminates, copied."""
+    seen = []
+
+    def recording(fn):
+        def wrapper(matrix, cols):
+            seen.append(([list(r) for r in matrix], cols))
+            return fn(matrix, cols)
+
+        return wrapper
+
+    monkeypatch.setattr(riemann_roch, "kernel_basis", recording(kernel_basis))
+    monkeypatch.setattr(riemann_roch, "matrix_rank", recording(matrix_rank))
+    return seen
+
+
+def _check_against_oracle(seen):
+    assert seen
+    for matrix, cols in seen:
+        basis, rank = gauss_jordan_oracle(matrix, cols)
+        assert matrix_rank(matrix, cols) == rank
+        assert kernel_basis(matrix, cols) == basis
+
+
+def test_matches_oracle_on_genus_13_scroll_matrices(recorded_matrices):
+    # non-integer roots, so the ramification Taylor rows are scaled by q > 1
+    roots = [Fraction(2 * i - 27, 1 + i % 4) for i in range(27)]
+    curve = HyperellipticCurve(roots)
+    eta = two_torsion_from_subset(curve, [f"w{i}" for i in (1, 4, 6, 9, 13, 20, 22, 27)])
+    report = scroll_report(curve, eta)
+    assert (report.e1, report.e2) == (13 - 1 - 4, 4 - 2)
+    _check_against_oracle(recorded_matrices)
+
+
+def test_matches_oracle_on_genus_4_search_matrices(recorded_matrices):
+    curve, marked = curve_with_marked_point(4)
+    curve = HyperellipticCurve(curve.roots)  # a fresh instance: a cold memo
+    eta = two_torsion_from_subset(curve, ["w1", "w2", "w3", "w4"])
+    pool = list(curve.weierstrass_points) + [marked, marked.conjugate()]
+    search_report(curve, eta, pool=pool, include_probes=True)
+    _check_against_oracle(recorded_matrices)

@@ -1,6 +1,7 @@
 """The Riemann-Roch engine: valuations, spaces, dimensions, equivalence."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -141,6 +142,50 @@ def test_agrees_with_counting_oracle():
         for _ in range(250):
             d = random_weierstrass_divisor(rng, c)
             assert h0(c, d) == weierstrass_h0_oracle(c, d), str(d)
+
+
+# Non-integer roots: ramification Taylor rows at x0 = p/q with q > 1.  Two
+# roots share a numerator, so rows that dropped a power of q would collide.
+FRACTIONAL_ROOTS = ("-3/2", "-1/3", "0", "1/3", "1/2", "5/4", "3")
+
+
+def _shifted_marked_curve():
+    """curve_with_marked_point(3) under x -> x/4 + 1/3: roots with
+    denominators 6 and 12 and an ordinary point at x = 1/3."""
+    c, marked = curve_with_marked_point(3)
+    curve = HyperellipticCurve([r / 4 + Fraction(1, 3) for r in c.roots])
+    point = CurvePoint.affine(Fraction(1, 3), marked.y / 2**7)
+    assert curve.contains(point)
+    return curve, point
+
+
+def test_fractional_roots_agree_with_counting_oracle():
+    c = HyperellipticCurve(FRACTIONAL_ROOTS)
+    K = c.canonical_divisor()
+    rng = random.Random(3100)
+    for _ in range(250):
+        support = rng.sample(c.weierstrass_points, k=rng.randint(1, 5))
+        d = Divisor((p, rng.choice((-4, -3, -2, -1, 1, 2, 3))) for p in support)
+        assert h0(c, d) == weierstrass_h0_oracle(c, d), str(d)
+        assert riemann_roch_space(c, d).dimension == weierstrass_h0_oracle(c, d), str(d)
+        assert h0(c, d) - h0(c, K - d) == d.degree - c.genus + 1
+
+
+def test_fractional_roots_riemann_roch_with_ordinary_points():
+    c, marked = _shifted_marked_curve()
+    K = c.canonical_divisor()
+    pts = list(c.weierstrass_points) + [marked, marked.conjugate()]
+    rng = random.Random(3200)
+    for _ in range(150):
+        support = rng.sample(pts, k=rng.randint(1, 4))
+        d = Divisor((p, rng.randint(-2, 3)) for p in support)
+        assert h0(c, d) - h0(c, K - d) == d.degree - c.genus + 1
+        space = riemann_roch_space(c, d)
+        assert space.dimension == h0(c, d)
+        probe = set(d.support) | {p.conjugate() for p in d.support} | {INFINITY}
+        for fn in space.basis:
+            for p in probe:
+                assert valuation(c, fn, p) >= -d.coefficient(p)
 
 
 def test_basis_respects_divisor_bounds():
