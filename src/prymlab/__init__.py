@@ -16,9 +16,7 @@ from .curves import (
     CurvePoint,
     Divisor,
     HyperellipticCurve,
-    canonical_divisor,
     curve_with_marked_point,
-    new_curve,
     standard_curve,
 )
 from .jacobian import (
@@ -29,20 +27,17 @@ from .jacobian import (
     cantor_identity,
     cantor_negate,
     enumerate_two_torsion,
-    eta_canonical_k,
     mumford_of_divisor,
     mumford_of_point,
     two_torsion_from_subset,
-    two_torsion_group_op,
     validate_mumford,
 )
 from .linalg import kernel_basis, matrix_rank
-from .polynomials import Poly, Rational, poly_gcd, poly_xgcd
+from .polynomials import Poly, poly_gcd, poly_xgcd
 from .prym import (
     GeometryProbes,
     NonContributingError,
     PrymReport,
-    clifford_dimension,
     clifford_of_divisor,
     closed_form_report,
     contributes,
@@ -87,25 +82,21 @@ __all__ = [
     "Poly",
     "PrymReport",
     "RRSpace",
-    "Rational",
     "ScrollMismatchError",
     "ScrollReport",
     "TruncatedSeries",
     "TwoTorsionClass",
     "VerificationCheck",
     "VerificationSuite",
-    "canonical_divisor",
     "cantor_add",
     "cantor_identity",
     "cantor_negate",
-    "clifford_dimension",
     "clifford_of_divisor",
     "closed_form_report",
     "contributes",
     "curve_with_marked_point",
     "dj_sequence",
     "enumerate_two_torsion",
-    "eta_canonical_k",
     "geometry_probes",
     "h0",
     "is_linearly_equivalent",
@@ -115,7 +106,6 @@ __all__ = [
     "min_secant_degree",
     "mumford_of_divisor",
     "mumford_of_point",
-    "new_curve",
     "park_parameters",
     "poly_gcd",
     "poly_xgcd",
@@ -128,7 +118,6 @@ __all__ = [
     "series_sqrt_branch",
     "standard_curve",
     "two_torsion_from_subset",
-    "two_torsion_group_op",
     "valuation",
     "validate_mumford",
 ]

@@ -269,8 +269,10 @@ class HyperellipticCurve:
                 idx = int(label[1:])
             except ValueError:
                 raise ValueError(f"bad Weierstrass label {label!r}") from None
-        else:
+        elif isinstance(label, int) and not isinstance(label, bool):
             idx = label
+        else:
+            raise ValueError(f"bad Weierstrass label {label!r}")
         if not 1 <= idx <= 2 * self._genus + 2:
             raise ValueError(f"Weierstrass label out of range: {label!r}")
         return idx
@@ -312,11 +314,6 @@ class HyperellipticCurve:
         return f"HyperellipticCurve(genus={self._genus}, roots={[str(r) for r in self._roots]})"
 
 
-def new_curve(roots: Sequence[Coefficient]) -> HyperellipticCurve:
-    """Construct the curve y^2 = prod (x - r_i) from distinct rational roots."""
-    return HyperellipticCurve(roots)
-
-
 @lru_cache(maxsize=None)
 def standard_curve(genus: int) -> HyperellipticCurve:
     """The demonstration curve with roots 1, 2, ..., 2g+1.
@@ -349,7 +346,3 @@ def curve_with_marked_point(genus: int) -> tuple[HyperellipticCurve, CurvePoint]
     curve = HyperellipticCurve(roots)
     point = curve.point(0, m * math.factorial(genus))
     return curve, point
-
-
-def canonical_divisor(curve: HyperellipticCurve) -> Divisor:
-    return curve.canonical_divisor()

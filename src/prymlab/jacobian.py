@@ -234,10 +234,6 @@ def two_torsion_from_subset(
     return TwoTorsionClass(curve, _canonical_subset(curve, subset))
 
 
-def two_torsion_group_op(a: TwoTorsionClass, b: TwoTorsionClass) -> TwoTorsionClass:
-    return a.combine(b)
-
-
 def enumerate_two_torsion(curve: HyperellipticCurve) -> list[TwoTorsionClass]:
     """All 2^{2g} - 1 nontrivial classes, each exactly once, in canonical
     form, ordered by k then lexicographically."""
@@ -255,9 +251,3 @@ def enumerate_two_torsion(curve: HyperellipticCurve) -> list[TwoTorsionClass]:
             out.append(TwoTorsionClass(curve, subset))
     return out
 
-
-def eta_canonical_k(eta: TwoTorsionClass) -> tuple[int, EtaDivisorPair]:
-    """The invariant k together with the canonical divisor-pair writing."""
-    if eta.is_trivial:
-        raise ValueError("the trivial class has no canonical writing")
-    return eta.k, eta.divisor_pair()

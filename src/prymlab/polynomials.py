@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Coefficient = Union[Fraction, int, str]
 
 
@@ -179,9 +177,6 @@ class Poly:
             return self
         return self.scale(1 / self.coeffs[-1])
 
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     # -- evaluation and local expansion --------------------------------
 
     def evaluate(self, x0: Coefficient) -> Fraction:
@@ -260,7 +255,6 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly((1,))
-X = Poly((0, 1))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import CurvePoint, Divisor, HyperellipticCurve
-from .jacobian import EtaDivisorPair, TwoTorsionClass, eta_canonical_k
+from .jacobian import TwoTorsionClass
 from .riemann_roch import ClassKey, class_h0, h0, point_classes, residual_key, twisted_key
 
 GONALITY = 2  # every curve in this package is hyperelliptic
@@ -110,8 +110,8 @@ def closed_form_report(
     h0 oracle before returning."""
     if eta.is_trivial:
         raise ValueError("the index needs a nontrivial 2-torsion class")
-    k, pair = eta_canonical_k(eta)
-    witness = pair.positive
+    k = eta.k
+    witness = eta.divisor_pair().positive
     value = clifford_of_divisor(curve, eta, witness)
     if value != k - 1:
         raise ArithmeticError(
@@ -227,17 +227,6 @@ def search_report(
         iota_cliff=_iota_value(value),
         probes=geometry_probes(curve, eta) if include_probes else None,
     )
-
-
-def clifford_dimension(
-    curve: HyperellipticCurve,
-    eta: TwoTorsionClass,
-    pool: list[CurvePoint] | None = None,
-    max_degree: int | None = None,
-) -> tuple[int, int] | None:
-    """Lexicographic minimum of (h0 - 1, twisted h0 - 1) over the divisors
-    achieving the minimal index on the pool."""
-    return search_report(curve, eta, pool, max_degree).cliff_dim
 
 
 def iota_invariant_index(

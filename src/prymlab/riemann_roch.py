@@ -32,9 +32,11 @@ ramification part of D to the mask:
     folded to the side with at most g bits.
 
 Equal keys therefore mean equivalent divisors of equal degree.  On a miss
-the kernel engine ranks one representative of the class: each point of the
-mask with coefficient 1, then the ordinary terms, with oo taking the rest of
-the degree.
+the kernel engine ranks condition rows built straight from the key, for the
+class member with coefficient 1 at each point of the mask, the key's
+ordinary terms, and oo taking the rest of the degree; no representative
+`Divisor` is built.  `riemann_roch_space` splits its divisor into the same
+three parts and shares the one condition-matrix builder.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
 
-from .curves import INFINITY, CurvePoint, Divisor, HyperellipticCurve
+from .curves import CurvePoint, Divisor, HyperellipticCurve
 from .linalg import kernel_basis, matrix_rank
 from .polynomials import ONE, Poly, poly_gcd
 from .series import TruncatedSeries, series_sqrt_branch
@@ -196,68 +198,57 @@ def _taylor_rows(x0: Fraction, size: int, orders: int) -> list[list[int]]:
     ]
 
 
-def _space_matrix(curve: HyperellipticCurve, divisor: Divisor):
-    """Denominator factors {x0: multiplicity}, candidate monomials and exact
-    condition rows for L(D), integer ones at ramification points."""
-    g = curve.genus
-    n_inf = divisor.coefficient(INFINITY)
+def _space_matrix(
+    curve: HyperellipticCurve,
+    ramification: Sequence[tuple[int, int]],
+    ordinary: Sequence[tuple[CurvePoint, int]],
+    n_inf: int,
+):
+    """Denominator factors [(x0, multiplicity)], the numbers of a- and
+    b-monomials, and exact condition rows (integer ones at ramification
+    points) for L(D), where D = sum n_i w_i + sum n_p p + n_inf oo is given as
+    (label index i, n_i) pairs with 1 <= i <= 2g+1, each label at most once,
+    and ordinary (point, n_p) terms.  Row order is immaterial: the rank and
+    the reduced echelon form do not depend on it."""
+    roots = curve.roots
 
     # Denominator from the positive affine part: (x - x_p)^{n_p} at ordinary
     # points, enough x-power to clear n_p at ramification points.
-    den_mult: dict[Fraction, int] = {}
-    affine_terms = [(p, n) for p, n in divisor if not p.is_infinity]
-    for p, n in affine_terms:
-        if n > 0:
-            m = (n + 1) // 2 if p.is_weierstrass else n
-            den_mult[p.x] = den_mult.get(p.x, 0) + m
-    deg_den = sum(den_mult.values())
-    cap = 2 * deg_den + n_inf
-
-    a_top = cap // 2
-    b_top = (cap - (2 * g + 1)) // 2
-    a_degrees = list(range(a_top + 1)) if a_top >= 0 else []
-    b_degrees = list(range(b_top + 1)) if b_top >= 0 else []
-    ncols = len(a_degrees) + len(b_degrees)
-    if ncols == 0:
-        return den_mult, a_degrees, b_degrees, [], 0
+    den = [(roots[i - 1], (n + 1) // 2) for i, n in ramification if n > 0]
+    ordinary_den: dict[Fraction, int] = {}
+    for p, n in ordinary:
+        ordinary_den[p.x] = ordinary_den.get(p.x, 0) + max(n, 0)
+    den.extend((x0, m) for x0, m in ordinary_den.items() if m)
+    cap = 2 * sum(m for _, m in den) + n_inf
+    na = max(0, cap // 2 + 1)
+    nb = max(0, (cap - (2 * curve.genus + 1)) // 2 + 1)
+    if na + nb == 0:
+        return den, na, nb, []
 
     # Required numerator vanishing orders place by place: the order the
     # denominator introduces minus the order the divisor allows.
-    required: dict[CurvePoint, int] = {}
-    coeff_at = {p: n for p, n in affine_terms}
-    for x0, mult in den_mult.items():
-        w = CurvePoint(x0, Fraction(0))
-        if curve.weierstrass_index(w) is not None:
-            t = 2 * mult - coeff_at.get(w, 0)
-            if t > 0:
-                required[w] = t
-        else:
-            some_y = next(p.y for p in coeff_at if p.x == x0)
-            for q in (CurvePoint(x0, some_y), CurvePoint(x0, -some_y)):
-                t = mult - coeff_at.get(q, 0)
-                if t > 0:
-                    required[q] = t
-    for p, n in affine_terms:
-        if n < 0 and p.x not in den_mult:
-            required[p] = -n
-
     rows: list[list[Fraction | int]] = []
-    for q in sorted(required, key=CurvePoint.sort_key):
-        t = required[q]
-        x0 = q.x
-        if q.is_weierstrass:
+    for i, n in ramification:
+        t = n % 2 if n > 0 else -n  # the denominator has order 2*ceil(n/2) at w_i
+        if t:
             # ord(a) = 2 mult_x0(a), ord(b*y) = 2 mult_x0(b) + 1
-            na, nb = len(a_degrees), len(b_degrees)
+            x0 = roots[i - 1]
             rows.extend(row + [0] * nb for row in _taylor_rows(x0, na, (t + 1) // 2))
             rows.extend([0] * na + row for row in _taylor_rows(x0, nb, t // 2))
-        else:
+    coeff_at = dict(ordinary)
+    for x0, mult in ordinary_den.items():
+        some_y = next(p.y for p, _ in ordinary if p.x == x0)
+        for q in (CurvePoint(x0, some_y), CurvePoint(x0, -some_y)):
+            t = mult - coeff_at.get(q, 0)
+            if t <= 0:
+                continue
             branch = _branch(curve, q, t).coeffs
             a_cols = [
                 [comb(i, l) * x0 ** (i - l) if i >= l else Fraction(0) for l in range(t)]
-                for i in a_degrees
+                for i in range(na)
             ]
             b_cols = []
-            for tay in a_cols[: len(b_degrees)]:  # b_top < a_top: x^j's Taylor column
+            for tay in a_cols[:nb]:  # nb < na: x^j's Taylor column
                 conv = [Fraction(0)] * t
                 for i1, c1 in enumerate(tay):
                     if c1:
@@ -266,8 +257,7 @@ def _space_matrix(curve: HyperellipticCurve, divisor: Divisor):
                                 conv[i1 + i2] += c1 * branch[i2]
                 b_cols.append(conv)
             rows.extend(list(row) for row in zip(*a_cols, *b_cols))
-
-    return den_mult, a_degrees, b_degrees, rows, ncols
+    return den, na, nb, rows
 
 
 def riemann_roch_space(curve: HyperellipticCurve, divisor: Divisor) -> RRSpace:
@@ -276,24 +266,26 @@ def riemann_roch_space(curve: HyperellipticCurve, divisor: Divisor) -> RRSpace:
     The empty space has dimension 0; no error cases.
     """
     curve.validate_divisor(divisor)
-    den_mult, a_degrees, b_degrees, rows, ncols = _space_matrix(curve, divisor)
-    if ncols == 0:
+    ramification, ordinary, n_inf = [], [], 0
+    for p, n in divisor:
+        idx = curve.weierstrass_index(p)
+        if p.is_infinity:
+            n_inf = n
+        elif idx is None:
+            ordinary.append((p, n))
+        else:
+            ramification.append((idx, n))
+    den_factors, na, nb, rows = _space_matrix(curve, ramification, ordinary, n_inf)
+    if na + nb == 0:
         return RRSpace(divisor, ())
-    vectors = kernel_basis(rows, ncols)
     den = ONE
-    for x0 in sorted(den_mult):
-        den = den * Poly((-x0, 1)) ** den_mult[x0]
-    na = len(a_degrees)
-    basis = []
-    for vec in vectors:
-        a_coeffs = [Fraction(0)] * (a_degrees[-1] + 1) if a_degrees else []
-        for idx, i in enumerate(a_degrees):
-            a_coeffs[i] = vec[idx]
-        b_coeffs = [Fraction(0)] * (b_degrees[-1] + 1) if b_degrees else []
-        for idx, j in enumerate(b_degrees):
-            b_coeffs[j] = vec[na + idx]
-        basis.append(CurveFunction.make(Poly(a_coeffs), Poly(b_coeffs), den))
-    return RRSpace(divisor, tuple(basis))
+    for x0, m in den_factors:
+        den = den * Poly((-x0, 1)) ** m
+    basis = tuple(
+        CurveFunction.make(Poly(vec[:na]), Poly(vec[na:]), den)
+        for vec in kernel_basis(rows, na + nb)
+    )
+    return RRSpace(divisor, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +362,22 @@ def residual_key(curve: HyperellipticCurve, key: ClassKey) -> ClassKey:
 
 def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
     """dim L(D) for the class with this key, from the per-curve memo; a miss
-    is ncols minus the rank of the class representative's condition matrix."""
+    is ncols minus the rank of the condition rows built from the key."""
     cache = curve._h0_cache
     dim = cache.get(key)
     if dim is not None:
         return dim
     mask, ordinary, degree = key
-    terms = [(w, 1) for i, w in enumerate(curve.weierstrass_points[:-1]) if mask >> i & 1]
-    terms.extend(ordinary)
-    terms.append((INFINITY, degree - sum(n for _, n in terms)))
-    representative = Divisor(terms)
-    curve.validate_divisor(representative)
+    for p, _ in ordinary:
+        if not curve.contains(p):
+            raise ValueError(f"point {p} is not on the curve")
     if degree < 0:
         dim = 0
     else:
-        _, _, _, rows, ncols = _space_matrix(curve, representative)
-        dim = ncols - matrix_rank(rows, ncols)
+        ramification = [(i + 1, 1) for i in range(2 * curve.genus + 1) if mask >> i & 1]
+        n_inf = degree - len(ramification) - sum(n for _, n in ordinary)
+        _, na, nb, rows = _space_matrix(curve, ramification, ordinary, n_inf)
+        dim = na + nb - matrix_rank(rows, na + nb)
     cache[key] = dim
     return dim
 

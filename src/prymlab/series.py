@@ -38,14 +38,6 @@ class TruncatedSeries:
         center = as_fraction(center)
         return cls(center, tuple(poly.taylor_at(center, precision)))
 
-    @classmethod
-    def constant(cls, value: Coefficient, center: Coefficient, precision: int) -> "TruncatedSeries":
-        center = as_fraction(center)
-        coeffs = [Fraction(0)] * precision
-        if precision:
-            coeffs[0] = as_fraction(value)
-        return cls(center, tuple(coeffs))
-
     def coefficient(self, i: int) -> Fraction:
         if i >= self.precision:
             raise IndexError(f"coefficient {i} beyond precision {self.precision}")

@@ -1,12 +1,11 @@
 """Deterministic verification suites.
 
-Every suite is a fixed, named list of checks; a check either returns a short
-detail string (pass) or raises AssertionError (fail).  Randomized checks
-seed their generators from the claim id, so a suite run is a pure function
-of (name, genus_max).  Checks fan out over a worker pool sized by the
-PRYMLAB_THREADS environment variable (default: available parallelism) and
-are collected in declaration order, so parallel and serial runs emit
-identical reports.
+Every suite is a fixed, named list of checks, run in declaration order; a
+check either returns a short detail string (pass) or raises ClaimFailure
+through `require` (fail).  `require` is an explicit raise, not an `assert`,
+so `python -O` cannot silence a check.  Randomized checks seed their
+generators from the claim id, so a suite run is a pure function of
+(name, genus_max).
 
 Suite names: riemann-roch, two-torsion, prym-clifford,
 classification-probes, scroll, and all.
@@ -15,10 +14,8 @@ classification-probes, scroll, and all.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import comb
@@ -84,15 +81,14 @@ class VerificationSuite:
         return self.failed == 0
 
 
-def worker_count() -> int:
-    env = os.environ.get("PRYMLAB_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"PRYMLAB_THREADS must be an integer, got {env!r}") from None
-        return max(1, n)
-    return os.cpu_count() or 1
+class ClaimFailure(Exception):
+    """A checked claim does not hold; `run_suite` reports it as a failure."""
+
+
+def require(cond: bool, msg: str = "assertion failed") -> None:
+    """Fail the running check with `msg` unless `cond` holds."""
+    if not cond:
+        raise ClaimFailure(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +172,7 @@ def check_rr_identity(genus: int, trials: int = 500) -> str:
             d = _random_divisor(rng, points)
             got = h0(curve, d) - h0(curve, canonical - d)
             want = d.degree - genus + 1
-            assert got == want, f"identity failed on {d}: {got} != {want}"
+            require(got == want, f"identity failed on {d}: {got} != {want}")
             total += 1
     return f"{total} randomized divisors across 2 curves"
 
@@ -184,8 +180,8 @@ def check_rr_identity(genus: int, trials: int = 500) -> str:
 def check_h0_basics(genus: int) -> str:
     """h0 of the canonical class is g; h0 of the pencil is 2."""
     for curve in (standard_curve(genus), curve_with_marked_point(genus)[0]):
-        assert h0(curve, curve.canonical_divisor()) == genus
-        assert h0(curve, curve.pencil_divisor()) == 2
+        require(h0(curve, curve.canonical_divisor()) == genus)
+        require(h0(curve, curve.pencil_divisor()) == 2)
     return "canonical and pencil dimensions on 2 curves"
 
 
@@ -199,7 +195,7 @@ def check_monotonicity(genus: int, trials: int = 80) -> str:
         p = rng.choice(list(points))
         lo = h0(curve, d)
         hi = h0(curve, d + Divisor.of_point(p))
-        assert lo <= hi <= lo + 1, f"monotonicity failed at {d} + {p}"
+        require(lo <= hi <= lo + 1, f"monotonicity failed at {d} + {p}")
     return f"{trials} randomized (divisor, point) pairs"
 
 
@@ -231,8 +227,8 @@ def check_structure_theorem(genus: int, limit: int | None = None) -> str:
             if base is None:
                 break
             stripped = stripped - Divisor.of_point(base)
-        assert stripped.degree == 2 * r, f"{d}: stripped degree {stripped.degree} != 2r = {2 * r}"
-        assert is_linearly_equivalent(curve, stripped, r * pencil), f"{d} fails the pencil form"
+        require(stripped.degree == 2 * r, f"{d}: stripped degree {stripped.degree} != 2r = {2 * r}")
+        require(is_linearly_equivalent(curve, stripped, r * pencil), f"{d} fails the pencil form")
         checked += 1
     return f"{checked} effective divisors of degree <= g-1"
 
@@ -250,10 +246,11 @@ def check_basis_valuations(genus: int, trials: int = 25) -> str:
         probe_points = {p for p in d.support} | {p.conjugate() for p in d.support}
         for phi in space.basis:
             for p in probe_points:
-                assert valuation(curve, phi, p) >= -d.coefficient(p), (
-                    f"basis element {phi} of L({d}) too singular at {p}"
+                require(
+                    valuation(curve, phi, p) >= -d.coefficient(p),
+                    f"basis element {phi} of L({d}) too singular at {p}",
                 )
-            assert valuation(curve, phi, curve.infinity) >= -d.coefficient(curve.infinity)
+            require(valuation(curve, phi, curve.infinity) >= -d.coefficient(curve.infinity))
             functions += 1
     return f"{functions} basis functions over {trials} spaces"
 
@@ -291,9 +288,9 @@ def check_cantor_oracle(genus: int, pairs: int = 120) -> str:
         validate_mumford(curve, m2)
         same_class = m1 == m2
         oracle = is_linearly_equivalent(curve, d1, d2)
-        assert same_class == oracle, f"Cantor vs h0 disagree on {d1} ~ {d2}"
+        require(same_class == oracle, f"Cantor vs h0 disagree on {d1} ~ {d2}")
         if expected_equivalent:
-            assert oracle, f"principal-divisor pair not equivalent: {d1} ~ {d2}"
+            require(oracle, f"principal-divisor pair not equivalent: {d1} ~ {d2}")
         agreements += 1
     return f"{agreements} degree-0 class pairs"
 
@@ -306,8 +303,8 @@ def check_two_torsion_count(genus: int) -> str:
     """2^{2g} - 1 nontrivial classes with the right per-k histogram."""
     curve = standard_curve(genus)
     classes = enumerate_two_torsion(curve)
-    assert len(classes) == 2 ** (2 * genus) - 1, f"count {len(classes)}"
-    assert len(set(classes)) == len(classes), "duplicate canonical classes"
+    require(len(classes) == 2 ** (2 * genus) - 1, f"count {len(classes)}")
+    require(len(set(classes)) == len(classes), "duplicate canonical classes")
     histogram: dict[int, int] = {}
     for c in classes:
         histogram[c.k] = histogram.get(c.k, 0) + 1
@@ -315,7 +312,7 @@ def check_two_torsion_count(genus: int) -> str:
         want = comb(2 * genus + 2, 2 * k)
         if 2 * k == genus + 1:
             want //= 2
-        assert histogram.get(k, 0) == want, f"k={k}: {histogram.get(k, 0)} != {want}"
+        require(histogram.get(k, 0) == want, f"k={k}: {histogram.get(k, 0)} != {want}")
     return f"{len(classes)} classes, histogram {sorted(histogram.items())}"
 
 
@@ -334,8 +331,9 @@ def check_beta_injective(genus: int, sample_per_k: int | None = None) -> str:
         ]
         for i in range(len(divisors)):
             for j in range(i + 1, len(divisors)):
-                assert not is_linearly_equivalent(curve, divisors[i], divisors[j]), (
-                    f"subsets {combos[i]} and {combos[j]} give equivalent classes"
+                require(
+                    not is_linearly_equivalent(curve, divisors[i], divisors[j]),
+                    f"subsets {combos[i]} and {combos[j]} give equivalent classes",
                 )
                 total += 1
     return f"{total} pairs distinguished"
@@ -344,7 +342,7 @@ def check_beta_injective(genus: int, sample_per_k: int | None = None) -> str:
 def check_beta_two_to_one(genus: int, sample: int | None = None) -> str:
     """At 2k = g+1 complementary subsets give the same class and nothing
     else collides."""
-    assert genus % 2 == 1, "2:1 fibers need odd genus"
+    require(genus % 2 == 1, "2:1 fibers need odd genus")
     curve = standard_curve(genus)
     n = 2 * genus + 2
     size = genus + 1
@@ -361,18 +359,24 @@ def check_beta_two_to_one(genus: int, sample: int | None = None) -> str:
     fibers = 0
     for eta, members in writings.items():
         for m in members[1:]:
-            assert m == full - members[0], f"non-complementary fiber {members}"
-            assert is_linearly_equivalent(
-                curve, _subset_writing(curve, members[0]), _subset_writing(curve, m)
-            ), f"complementary writings of {eta} not equivalent"
+            require(m == full - members[0], f"non-complementary fiber {members}")
+            require(
+                is_linearly_equivalent(
+                    curve, _subset_writing(curve, members[0]), _subset_writing(curve, m)
+                ),
+                f"complementary writings of {eta} not equivalent",
+            )
             fibers += 1
     others = list(writings.keys())
     checked = 0
     for i in range(min(len(others), 30)):
         for j in range(i + 1, min(len(others), 30)):
-            assert not is_linearly_equivalent(
-                curve, others[i].beta_divisor(), others[j].beta_divisor()
-            ), f"distinct classes {others[i]} and {others[j]} collide"
+            require(
+                not is_linearly_equivalent(
+                    curve, others[i].beta_divisor(), others[j].beta_divisor()
+                ),
+                f"distinct classes {others[i]} and {others[j]} collide",
+            )
             checked += 1
     return f"{fibers} complementary fibers equivalent, {checked} cross-pairs distinct"
 
@@ -388,17 +392,18 @@ def check_group_closure(genus: int, sample_pairs: int | None = None) -> str:
     if sample_pairs is not None and len(pairs) > sample_pairs:
         pairs = rng.sample(pairs, sample_pairs)
     for c in classes:
-        assert c.combine(c).is_trivial, f"{c} + {c} not trivial"
+        require(c.combine(c).is_trivial, f"{c} + {c} not trivial")
     for i, j in pairs:
         a, b = classes[i], classes[j]
         c = a.combine(b)
-        assert c.is_trivial or c in class_set, f"{a} + {b} escaped the enumeration"
-        assert c == b.combine(a), "symmetric difference not commutative"
+        require(c.is_trivial or c in class_set, f"{a} + {b} escaped the enumeration")
+        require(c == b.combine(a), "symmetric difference not commutative")
         cantor = cantor_add(curve, a.mumford(), b.mumford())
-        assert cantor == c.mumford(), f"Cantor sum of {a}, {b} disagrees with subsets"
-        assert is_linearly_equivalent(
-            curve, a.beta_divisor() + b.beta_divisor(), c.beta_divisor()
-        ), f"h0 oracle rejects {a} + {b} = {c}"
+        require(cantor == c.mumford(), f"Cantor sum of {a}, {b} disagrees with subsets")
+        require(
+            is_linearly_equivalent(curve, a.beta_divisor() + b.beta_divisor(), c.beta_divisor()),
+            f"h0 oracle rejects {a} + {b} = {c}",
+        )
     return f"{len(classes)} involutions, {len(pairs)} composition pairs"
 
 
@@ -415,7 +420,7 @@ def check_distinct_k_distinct_class(genus: int, sample: int = 40) -> str:
         for _ in range(min(sample, len(by_k[k1]) * len(by_k[k2]))):
             a = rng.choice(by_k[k1])
             b = rng.choice(by_k[k2])
-            assert not is_linearly_equivalent(curve, a.beta_divisor(), b.beta_divisor())
+            require(not is_linearly_equivalent(curve, a.beta_divisor(), b.beta_divisor()))
             checked += 1
     return f"{checked} cross-k pairs distinct"
 
@@ -432,10 +437,11 @@ def check_search_matches_closed_form(genus: int, exhaustive: bool) -> str:
     for eta in etas:
         report = search_report(curve, eta)
         closed = closed_form_report(curve, eta)
-        assert report.cliff_eta == closed.cliff_eta == eta.k - 1, (
-            f"{eta}: search {report.cliff_eta}, closed {closed.cliff_eta}, k-1 {eta.k - 1}"
+        require(
+            report.cliff_eta == closed.cliff_eta == eta.k - 1,
+            f"{eta}: search {report.cliff_eta}, closed {closed.cliff_eta}, k-1 {eta.k - 1}",
         )
-        assert report.cliff_dim == (0, 0), f"{eta}: dimension pair {report.cliff_dim}"
+        require(report.cliff_dim == (0, 0), f"{eta}: dimension pair {report.cliff_dim}")
     return f"{len(etas)} classes agree at k-1 with pair (0,0)"
 
 
@@ -447,13 +453,11 @@ def check_zero_classification(genus: int, exhaustive: bool) -> str:
     zeros = 0
     for eta in etas:
         value = search_report(curve, eta).cliff_eta
-        assert (value == 0) == (eta.k == 1), f"{eta}: value {value}, k {eta.k}"
+        require((value == 0) == (eta.k == 1), f"{eta}: value {value}, k {eta.k}")
         if eta.k == 1:
             probe = geometry_probes(curve, eta)
             expected = {curve.weierstrass_point(i) for i in eta.subset}
-            assert set(probe.base_points) == expected, (
-                f"{eta}: base points {probe.base_points}"
-            )
+            require(set(probe.base_points) == expected, f"{eta}: base points {probe.base_points}")
             zeros += 1
     return f"{zeros} base-point classes verified among {len(etas)}"
 
@@ -472,9 +476,9 @@ def check_upper_bound_attained(genus: int, exhaustive: bool) -> str:
         values = [closed_form_report(curve, eta).cliff_eta for eta in enumerate_two_torsion(curve)]
         k_max = (genus + 1) // 2
         for eta in sample_etas_for_k(curve, k_max, 3):
-            assert search_report(curve, eta).cliff_eta == k_max - 1
-    assert all(0 <= v <= ceiling for v in values), "a value escaped the bounds"
-    assert max(values) == ceiling, f"max {max(values)} != ceiling {ceiling}"
+            require(search_report(curve, eta).cliff_eta == k_max - 1)
+    require(all(0 <= v <= ceiling for v in values), "a value escaped the bounds")
+    require(max(values) == ceiling, f"max {max(values)} != ceiling {ceiling}")
     return f"max over {len(values)} classes is {ceiling}"
 
 
@@ -484,9 +488,9 @@ def check_dimension_pairs(genus: int, exhaustive: bool) -> str:
     etas = _etas_for(curve, exhaustive)
     for eta in etas:
         pair = search_report(curve, eta).cliff_dim
-        assert pair is not None and not (pair[0] == 0 and pair[1] >= 1), f"{eta}: {pair}"
-        assert pair != (1, 1), f"{eta}: pair (1,1)"
-        assert pair == (0, 0), f"{eta}: pair {pair}"
+        require(pair is not None and not (pair[0] == 0 and pair[1] >= 1), f"{eta}: {pair}")
+        require(pair != (1, 1), f"{eta}: pair (1,1)")
+        require(pair == (0, 0), f"{eta}: pair {pair}")
     return f"{len(etas)} dimension pairs all (0,0)"
 
 
@@ -506,10 +510,10 @@ def check_index_symmetry(genus: int, trials: int = 40) -> str:
         if not contributes(curve, eta, d):
             continue
         value = clifford_of_divisor(curve, eta, d)
-        assert clifford_of_divisor(curve, eta, eta.twist(d)) == value
-        assert clifford_of_divisor(curve, eta, canonical - d) == value
+        require(clifford_of_divisor(curve, eta, eta.twist(d)) == value)
+        require(clifford_of_divisor(curve, eta, canonical - d) == value)
         checked += 1
-    assert checked > 0, "no contributing samples drawn"
+    require(checked > 0, "no contributing samples drawn")
     return f"{checked} contributing bundles symmetric"
 
 
@@ -523,7 +527,7 @@ def check_witness_base_disjoint(genus: int, per_k: int = 3) -> str:
         shared = _base_points(curve, witness, probes) & _base_points(
             curve, eta.twist(witness), probes
         )
-        assert not shared, f"{eta}: witness {witness} shares base points {shared}"
+        require(not shared, f"{eta}: witness {witness} shares base points {shared}")
         count += 1
     return f"{count} witnesses checked"
 
@@ -535,12 +539,11 @@ def check_iota(genus: int, exhaustive: bool) -> str:
     etas = _etas_for(curve, exhaustive)
     for eta in etas:
         expected = 0 if eta.k == 1 else 2
-        assert iota_invariant_index(curve, eta) == expected, f"{eta}"
+        require(iota_invariant_index(curve, eta) == expected, f"{eta}")
     sampled = sample_etas(curve, 1)
     for eta in sampled:
-        assert iota_invariant_index(curve, eta, pool=list(curve.weierstrass_points)) == (
-            0 if eta.k == 1 else 2
-        )
+        pool = list(curve.weierstrass_points)
+        require(iota_invariant_index(curve, eta, pool=pool) == (0 if eta.k == 1 else 2))
     return f"{len(etas)} closed-form values, {len(sampled)} search values"
 
 
@@ -557,38 +560,36 @@ def check_base_points_k1(genus: int, exhaustive: bool) -> str:
     for eta in etas:
         probe = geometry_probes(curve, eta)
         expected = {curve.weierstrass_point(i) for i in eta.subset}
-        assert set(probe.base_points) == expected, f"{eta}: {probe.base_points}"
+        require(set(probe.base_points) == expected, f"{eta}: {probe.base_points}")
     for eta in others:
-        assert not geometry_probes(curve, eta).base_points, f"{eta} has base points"
+        require(not geometry_probes(curve, eta).base_points, f"{eta} has base points")
     return f"{len(etas)} base-point classes, {len(others)} free classes"
 
 
 def check_k2_probe_shape(genus: int, per_k: int = 3) -> str:
     """k = 2: base point free but some pair of points is not separated."""
-    assert genus >= 3
+    require(genus >= 3)
     curve = standard_curve(genus)
     for eta in sample_etas_for_k(curve, 2, per_k):
         probe = geometry_probes(curve, eta)
-        assert not probe.base_points, f"{eta} has base points"
-        assert probe.unseparated_pairs, f"{eta} separates all pairs"
+        require(not probe.base_points, f"{eta} has base points")
+        require(probe.unseparated_pairs, f"{eta} separates all pairs")
     return f"{per_k} classes at k=2"
 
 
 def check_k3_trisecant(genus: int, per_k: int = 3) -> str:
     """k = 3: the embedded curve has a trisecant line; the canonical witness
     (first three subset points) is among the degree-3 witnesses."""
-    assert genus >= 5
+    require(genus >= 5)
     curve = standard_curve(genus)
     for eta in sample_etas_for_k(curve, 3, per_k):
         probe = geometry_probes(curve, eta)
-        assert probe.trisecant_witnesses, f"{eta}: no trisecant"
-        assert not probe.unseparated_pairs, f"{eta}: not an embedding"
+        require(probe.trisecant_witnesses, f"{eta}: no trisecant")
+        require(not probe.unseparated_pairs, f"{eta}: not an embedding")
         canonical_witness = eta.divisor_pair().positive
-        assert canonical_witness in probe.trisecant_witnesses, (
-            f"{eta}: canonical witness missing"
-        )
+        require(canonical_witness in probe.trisecant_witnesses, f"{eta}: canonical witness missing")
         drop = h0(curve, eta.twist(curve.canonical_divisor() - canonical_witness))
-        assert drop == genus - 3, f"{eta}: h0 drop {drop} != g-3"
+        require(drop == genus - 3, f"{eta}: h0 drop {drop} != g-3")
     return f"{per_k} classes at k=3"
 
 
@@ -599,7 +600,7 @@ def check_min_secant_equals_k(genus: int, per_k: int = 3) -> str:
     for k in range(1, (genus + 1) // 2 + 1):
         for eta in sample_etas_for_k(curve, k, per_k):
             e0 = min_secant_degree(curve, eta)
-            assert e0 == k, f"{eta}: e0 = {e0} != k = {k}"
+            require(e0 == k, f"{eta}: e0 = {e0} != k = {k}")
             checked += 1
     return f"{checked} classes, e0 = k throughout"
 
@@ -638,21 +639,22 @@ def check_dj_profile(genus: int, per_k: int = 3) -> str:
         sequences = set()
         for eta in sample_etas_for_k(curve, k, per_k):
             drops = dj_sequence(curve, eta)
-            assert drops[0] == 2 and sum(drops) == genus - 1
+            require(drops[0] == 2 and sum(drops) == genus - 1)
             tail = drops[1:]
-            assert all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1)), (
-                f"{eta}: {drops} not monotone after the head"
+            require(
+                all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1)),
+                f"{eta}: {drops} not monotone after the head",
             )
             ones = [j for j, d in enumerate(drops) if d == 1]
             if ones:
-                assert ones[0] == k - 1, f"{eta}: first 1 at {ones[0]} != k-1"
+                require(ones[0] == k - 1, f"{eta}: first 1 at {ones[0]} != k-1")
             else:
-                assert genus == 2 * k - 1, f"{eta}: no 1 in {drops} but g != 2k-1"
+                require(genus == 2 * k - 1, f"{eta}: no 1 in {drops} but g != 2k-1")
             e1, e2 = scroll_type(curve, eta)  # raises on closed-form mismatch
-            assert (e1, e2) == (genus - 1 - k, k - 2)
+            require((e1, e2) == (genus - 1 - k, k - 2))
             sequences.add(drops)
             checked += 1
-        assert len(sequences) == 1, f"k={k}: sequences vary with the subset"
+        require(len(sequences) == 1, f"k={k}: sequences vary with the subset")
     return f"{checked} drop sequences across k = 2..{(genus + 1) // 2}"
 
 
@@ -663,22 +665,22 @@ def check_park_table() -> str:
     for k, nu_want in expected_nu.items():
         genus = 2 * k - 1  # smallest admissible genus for this k
         nu, p, regularity = park_parameters(genus, k)
-        assert nu == nu_want, f"k={k}: nu {nu}"
-        assert p == nu * (k - 2) - 2 * k + 1, f"k={k}: p {p}"
-        assert regularity == nu + 1, f"k={k}: regularity {regularity}"
+        require(nu == nu_want, f"k={k}: nu {nu}")
+        require(p == nu * (k - 2) - 2 * k + 1, f"k={k}: p {p}")
+        require(regularity == nu + 1, f"k={k}: regularity {regularity}")
     for bad in (1, 2):
         try:
             park_parameters(9, bad)
         except ValueError:
             pass
         else:
-            raise AssertionError(f"k={bad} accepted")
+            raise ClaimFailure(f"k={bad} accepted")
     try:
         park_parameters(5, 4)
     except ValueError:
         pass
     else:
-        raise AssertionError("k above the genus ceiling accepted")
+        raise ClaimFailure("k above the genus ceiling accepted")
     return "nu, p, regularity for k = 3..8 plus rejection cases"
 
 
@@ -766,22 +768,15 @@ def run_suite(name: str, genus_max: int = 6) -> VerificationSuite:
         raise ValueError("genus_max must be >= 2")
     units = _suite_units(name, genus_max)
     started = time.perf_counter()
-
-    def execute(unit: Check) -> VerificationCheck:
-        claim, fn = unit
+    checks = []
+    for claim, fn in units:
         try:
-            detail = fn()
-            return VerificationCheck(claim, "pass", detail)
-        except AssertionError as exc:
-            return VerificationCheck(claim, "fail", str(exc) or "assertion failed")
+            checks.append(VerificationCheck(claim, "pass", fn()))
+        except ClaimFailure as exc:
+            checks.append(VerificationCheck(claim, "fail", str(exc)))
         except Exception as exc:  # noqa: BLE001 - a crash is a failed claim
-            return VerificationCheck(claim, "fail", f"{type(exc).__name__}: {exc}")
-
-    workers = worker_count()
-    if workers > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            checks = tuple(pool.map(execute, units))
-    else:
-        checks = tuple(execute(u) for u in units)
+            checks.append(VerificationCheck(claim, "fail", f"{type(exc).__name__}: {exc}"))
     elapsed = time.perf_counter() - started
-    return VerificationSuite(name=name, genus_max=genus_max, checks=checks, elapsed_seconds=elapsed)
+    return VerificationSuite(
+        name=name, genus_max=genus_max, checks=tuple(checks), elapsed_seconds=elapsed
+    )

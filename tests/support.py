@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
-from prymlab import Divisor, HyperellipticCurve
+from prymlab import INFINITY, CurvePoint, Divisor, HyperellipticCurve, series_sqrt_branch
 
 
 def gauss_jordan_oracle(matrix, cols: int) -> tuple[list[list[Fraction]], int]:
@@ -45,6 +46,78 @@ def gauss_jordan_oracle(matrix, cols: int) -> tuple[list[list[Fraction]], int]:
         lead = next(c for c in vec if c != 0)
         basis.append([c / lead for c in vec])
     return basis, len(pivots)
+
+
+def space_matrix_oracle(curve: HyperellipticCurve, divisor: Divisor):
+    """(denominator factors {x0: multiplicity}, a-degrees, b-degrees, rows,
+    ncols) of the condition matrix of L(D), built from the `Divisor` itself.
+
+    Reference for `prymlab.riemann_roch._space_matrix`: the same candidate
+    functions (a(x) + b(x)*y) / den(x), but the places and their required
+    vanishing orders are found point by point on the divisor, and every row
+    is a plain Fraction Taylor row (at a ramification point, a row of the
+    package's integer rows divided by a power of the root's denominator).
+    """
+    g = curve.genus
+    n_inf = divisor.coefficient(INFINITY)
+
+    den_mult: dict[Fraction, int] = {}
+    affine_terms = [(p, n) for p, n in divisor if not p.is_infinity]
+    for p, n in affine_terms:
+        if n > 0:
+            m = (n + 1) // 2 if p.is_weierstrass else n
+            den_mult[p.x] = den_mult.get(p.x, 0) + m
+    cap = 2 * sum(den_mult.values()) + n_inf
+    a_top = cap // 2
+    b_top = (cap - (2 * g + 1)) // 2
+    a_degrees = list(range(a_top + 1)) if a_top >= 0 else []
+    b_degrees = list(range(b_top + 1)) if b_top >= 0 else []
+    ncols = len(a_degrees) + len(b_degrees)
+    if ncols == 0:
+        return den_mult, a_degrees, b_degrees, [], 0
+
+    # required numerator vanishing order place by place: the order the
+    # denominator introduces minus the order the divisor allows
+    required: dict[CurvePoint, int] = {}
+    coeff_at = dict(affine_terms)
+    for x0, mult in den_mult.items():
+        w = CurvePoint(x0, Fraction(0))
+        if w in curve.weierstrass_points:
+            t = 2 * mult - coeff_at.get(w, 0)
+            if t > 0:
+                required[w] = t
+        else:
+            some_y = next(p.y for p in coeff_at if p.x == x0)
+            for q in (CurvePoint(x0, some_y), CurvePoint(x0, -some_y)):
+                t = mult - coeff_at.get(q, 0)
+                if t > 0:
+                    required[q] = t
+    for p, n in affine_terms:
+        if n < 0 and p.x not in den_mult:
+            required[p] = -n
+
+    def taylor(x0, degrees, orders):
+        return [[comb(i, l) * x0 ** (i - l) if i >= l else Fraction(0) for i in degrees]
+                for l in range(orders)]
+
+    na, nb = len(a_degrees), len(b_degrees)
+    rows: list[list[Fraction]] = []
+    for q in sorted(required, key=CurvePoint.sort_key):
+        t, x0 = required[q], q.x
+        if q.is_weierstrass:
+            # ord(a) = 2 mult_x0(a), ord(b*y) = 2 mult_x0(b) + 1
+            rows.extend(row + [Fraction(0)] * nb for row in taylor(x0, a_degrees, (t + 1) // 2))
+            rows.extend([Fraction(0)] * na + row for row in taylor(x0, b_degrees, t // 2))
+        else:
+            # a(x) + b(x)*y(x) along the branch through q vanishes to order t
+            branch = series_sqrt_branch(curve.f, x0, q.y, t).coeffs
+            a_rows = taylor(x0, a_degrees, t)
+            b_rows = [
+                [sum(a_rows[l - s][j] * branch[s] for s in range(l + 1)) for j in range(nb)]
+                for l in range(t)
+            ]
+            rows.extend(a + b for a, b in zip(a_rows, b_rows))
+    return den_mult, a_degrees, b_degrees, rows, ncols
 
 
 def weierstrass_h0_oracle(curve: HyperellipticCurve, divisor: Divisor) -> int:

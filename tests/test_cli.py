@@ -1,10 +1,15 @@
 """CLI surface: subcommands, exit codes, deterministic JSON."""
 
+import contextlib
+import io
 import json
+import random
 
 import pytest
 
+from prymlab import curve_with_marked_point
 from prymlab.cli import main
+from prymlab.serialize import curve_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +191,14 @@ def test_h0_rejects_float_point_coordinate(tmp_path, capsys):
     assert "not an exact rational" in err
 
 
+@pytest.mark.parametrize("label", [2.0, [1], None, True])
+def test_h0_rejects_label_of_wrong_type(tmp_path, capsys, label):
+    term = {"point": {"label": label}, "mult": 1}
+    code, out, err = _h0_with_divisor(tmp_path, capsys, {"terms": [term]})
+    assert code == 2 and out == ""
+    assert "bad Weierstrass label" in err
+
+
 @pytest.mark.parametrize("roots", ["12345", {"1": 2}])
 def test_curve_rejects_roots_that_are_not_a_list(tmp_path, capsys, roots):
     curve_file = tmp_path / "curve.json"
@@ -207,3 +220,68 @@ def test_cliff_rejects_malformed_pool(tmp_path, capsys, pool):
     )
     assert code == 2 and out == ""
     assert "error" in err
+
+
+def _fuzz_replacement(rng, value):
+    """A value of another JSON type, or the string cut short."""
+    choices = [0.5, 2.0, True, False, None, 7, -1, "w9", "", [], {}, [value], {"x": value}, [[1, 2]]]
+    if isinstance(value, str) and value:
+        choices.append(value[: rng.randrange(len(value))])
+    return rng.choice(choices)
+
+
+def _fuzz_mutate(rng, value):
+    """`value` with one random mutation somewhere inside it: a key or an item
+    removed, or a value replaced by `_fuzz_replacement`."""
+    if isinstance(value, (dict, list)) and value and rng.random() < 0.9:
+        value = dict(value) if isinstance(value, dict) else list(value)
+        key = rng.choice(list(value) if isinstance(value, dict) else range(len(value)))
+        if rng.random() < 0.25:
+            del value[key]
+        else:
+            value[key] = _fuzz_mutate(rng, value[key])
+        return value
+    return _fuzz_replacement(rng, value)
+
+
+def test_cli_fuzzed_json_exits_0_or_2(tmp_path):
+    # Seeded mutations of valid curve, divisor and pool JSON: every run ends
+    # with exit code 0 or 2, and no exception escapes the command.
+    curve, marked = curve_with_marked_point(2)
+    y = str(marked.y)
+    valid = {
+        "curve": curve_to_dict(curve),
+        "divisor": {"terms": [
+            {"point": {"label": "w1"}, "mult": 3},
+            {"point": {"x": "0", "y": y}, "mult": -1},
+            {"point": {"at_infinity": True}, "mult": 1},
+        ]},
+        "pool": {"points": [{"x": "0", "y": y}, {"x": "0", "y": "-" + y}, {"label": "w2"}, "w3"]},
+    }
+    files = {name: tmp_path / f"{name}.json" for name in valid}
+    commands = [
+        ["h0", "--curve", str(files["curve"]), "--divisor", str(files["divisor"])],
+        ["eta", "list", "--curve", str(files["curve"])],
+        ["cliff", "--curve", str(files["curve"]), "--eta", "w1,w2", "--mode", "search",
+         "--pool", str(files["pool"]), "--no-probes"],
+    ]
+    rng = random.Random("cli-fuzz")
+    codes = []
+    for trial in range(240):
+        target = rng.choice(list(valid))
+        data = valid[target]
+        for _ in range(rng.randint(1, 3)):
+            data = _fuzz_mutate(rng, data)
+        for name, path in files.items():
+            path.write_text(json.dumps(data if name == target else valid[name]))
+        argv = rng.choice([c for c in commands if str(files[target]) in c])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except Exception as exc:  # noqa: BLE001 - report the input that crashed
+                pytest.fail(f"{argv[0]} on {target} {json.dumps(data)} raised {exc!r}")
+        assert code in (0, 2), (argv[0], target, data, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        codes.append(code)
+    assert codes.count(0) > 10 and codes.count(2) > 100

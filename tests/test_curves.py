@@ -11,35 +11,34 @@ from prymlab import (
     Divisor,
     HyperellipticCurve,
     curve_with_marked_point,
-    new_curve,
     standard_curve,
 )
 
 
 def test_new_curve_genus_2():
-    c = new_curve([1, 2, 3, 4, 5])
+    c = HyperellipticCurve([1, 2, 3, 4, 5])
     assert c.genus == 2
     assert len(c.weierstrass_points) == 6
     assert c.weierstrass_points[-1] is INFINITY
 
 
 def test_new_curve_genus_3():
-    assert new_curve(range(1, 8)).genus == 3
+    assert HyperellipticCurve(range(1, 8)).genus == 3
 
 
 def test_duplicate_roots_rejected():
     with pytest.raises(ValueError, match="squarefree"):
-        new_curve([1, 1, 2, 3, 4])
+        HyperellipticCurve([1, 1, 2, 3, 4])
 
 
 def test_even_root_count_rejected():
     with pytest.raises(ValueError, match="odd"):
-        new_curve([1, 2, 3, 4, 5, 6])
+        HyperellipticCurve([1, 2, 3, 4, 5, 6])
 
 
 def test_small_root_count_rejected():
     with pytest.raises(ValueError, match="genus"):
-        new_curve([1, 2, 3])
+        HyperellipticCurve([1, 2, 3])
 
 
 def test_canonical_divisor():
@@ -107,7 +106,7 @@ def test_divisor_normalisation_and_hash():
 
 
 def test_curve_identity_and_label_errors():
-    assert standard_curve(2) == new_curve([5, 4, 3, 2, 1])
+    assert standard_curve(2) == HyperellipticCurve([5, 4, 3, 2, 1])
     c = standard_curve(2)
     with pytest.raises(ValueError):
         c.weierstrass_point("w9")
@@ -116,7 +115,7 @@ def test_curve_identity_and_label_errors():
 
 
 def test_fractional_roots_accepted():
-    c = new_curve(["1/2", 1, 2, 3, 4])
+    c = HyperellipticCurve(["1/2", 1, 2, 3, 4])
     assert c.roots[0] == Fraction(1, 2)
     assert c.genus == 2
 

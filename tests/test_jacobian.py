@@ -15,13 +15,11 @@ from prymlab import (
     cantor_negate,
     curve_with_marked_point,
     enumerate_two_torsion,
-    eta_canonical_k,
     is_linearly_equivalent,
     mumford_of_divisor,
     mumford_of_point,
     standard_curve,
     two_torsion_from_subset,
-    two_torsion_group_op,
     validate_mumford,
 )
 from support import random_weierstrass_divisor
@@ -115,7 +113,7 @@ def test_trivial_class():
     eta = two_torsion_from_subset(c, [])
     assert eta.is_trivial
     with pytest.raises(ValueError):
-        eta_canonical_k(eta)
+        eta.divisor_pair()
 
 
 def test_odd_cardinality_rejected():
@@ -151,8 +149,8 @@ def test_group_op_examples():
     c = standard_curve(2)
     a = two_torsion_from_subset(c, ["w1", "w2"])
     b = two_torsion_from_subset(c, ["w2", "w3"])
-    assert two_torsion_group_op(a, b) == two_torsion_from_subset(c, ["w1", "w3"])
-    assert two_torsion_group_op(a, a).is_trivial
+    assert a.combine(b) == two_torsion_from_subset(c, ["w1", "w3"])
+    assert a.combine(a).is_trivial
 
 
 def test_group_closure_genus2_exhaustive():
@@ -188,13 +186,15 @@ def test_pair_and_beta_writings_equivalent():
 
 def test_eta_canonical_k_splits():
     c5 = standard_curve(5)
-    k, pair = eta_canonical_k(two_torsion_from_subset(c5, ["w1", "w2"]))
-    assert k == 1
+    eta = two_torsion_from_subset(c5, ["w1", "w2"])
+    pair = eta.divisor_pair()
+    assert eta.k == 1
     assert pair.positive == Divisor.of_point(c5.weierstrass_point("w1"))
     assert pair.negative == Divisor.of_point(c5.weierstrass_point("w2"))
 
-    k, pair = eta_canonical_k(two_torsion_from_subset(c5, ["w1", "w2", "w3", "w4"]))
-    assert k == 2
+    eta = two_torsion_from_subset(c5, ["w1", "w2", "w3", "w4"])
+    pair = eta.divisor_pair()
+    assert eta.k == 2
     assert pair.positive == Divisor.of_points(
         [c5.weierstrass_point("w1"), c5.weierstrass_point("w2")]
     )
@@ -202,10 +202,7 @@ def test_eta_canonical_k_splits():
         [c5.weierstrass_point("w3"), c5.weierstrass_point("w4")]
     )
 
-    k, _ = eta_canonical_k(
-        two_torsion_from_subset(c5, ["w1", "w2", "w3", "w4", "w5", "w6"])
-    )
-    assert k == 3
+    assert two_torsion_from_subset(c5, ["w1", "w2", "w3", "w4", "w5", "w6"]).k == 3
 
 
 def test_subsets_through_infinity():

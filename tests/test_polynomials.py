@@ -34,7 +34,8 @@ def test_divrem_rejects_zero_divisor():
 def test_squarefree_product_of_linear_factors():
     # f = prod_{i=1..5} (x - i): distinct roots, so gcd(f, f') = 1.
     f = Poly.from_roots([1, 2, 3, 4, 5])
-    assert poly_gcd(f, f.derivative()) == Poly((1,))
+    derivative = Poly(i * c for i, c in enumerate(f.coeffs) if i)
+    assert poly_gcd(f, derivative) == Poly((1,))
 
 
 def test_gcd_is_monic():

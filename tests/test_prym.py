@@ -9,7 +9,6 @@ from prymlab import (
     CurvePoint,
     Divisor,
     NonContributingError,
-    clifford_dimension,
     clifford_of_divisor,
     closed_form_report,
     contributes,
@@ -201,7 +200,7 @@ def test_search_validates_arguments():
 def test_clifford_dimension_full_pool():
     c = standard_curve(3)
     for eta in enumerate_two_torsion(c)[:10]:
-        assert clifford_dimension(c, eta) == (0, 0)
+        assert search_report(c, eta).cliff_dim == (0, 0)
 
 
 def test_dimension_pair_excluded_shapes():

@@ -20,8 +20,13 @@ from prymlab import (
     standard_curve,
     valuation,
 )
-from prymlab.riemann_roch import class_key, residual_key, twisted_key
-from support import random_weierstrass_divisor, weierstrass_h0_oracle
+from prymlab.riemann_roch import class_h0, class_key, residual_key, twisted_key
+from support import (
+    gauss_jordan_oracle,
+    random_weierstrass_divisor,
+    space_matrix_oracle,
+    weierstrass_h0_oracle,
+)
 
 Y = CurveFunction.make(Poly(), Poly((1,)), Poly((1,)))
 
@@ -344,3 +349,53 @@ def test_warm_class_key_still_rejects_off_curve_ramification_point():
     bad = d + Divisor(((CurvePoint.affine(10, 0), 2), (INFINITY, -2)))
     with pytest.raises(ValueError):
         h0(c, bad)
+
+
+def _oracle_divisors(rng, curve, marked, count):
+    """Seeded divisors: ramification coefficients -3..3, the marked point and
+    its conjugate with coefficients of either sign, and oo taking -3..3 half
+    of the time and otherwise whatever brings the degree into -1..2g+1."""
+    g = curve.genus
+    affine = list(curve.weierstrass_points[:-1])
+    out = []
+    for i in range(count):
+        support = rng.sample(affine, rng.randint(0, min(6, len(affine))))
+        terms = [(w, rng.randint(-3, 3)) for w in support]
+        if marked is not None:
+            terms += [(marked, rng.randint(-2, 2)), (marked.conjugate(), rng.randint(-2, 2))]
+        affine_degree = sum(n for _, n in terms)
+        n_inf = rng.randint(-3, 3) if i % 2 else rng.randint(-1, 2 * g + 1) - affine_degree
+        out.append(Divisor(terms + [(INFINITY, n_inf)]))
+    return out
+
+
+def _oracle_cases():
+    for genus, count in ((3, 40), (4, 40), (13, 12)):
+        marked_curve, marked = curve_with_marked_point(genus)
+        yield pytest.param(f"g{genus}", HyperellipticCurve(marked_curve.roots), marked, count, id=f"genus{genus}")
+    yield pytest.param("fractional-roots", HyperellipticCurve(FRACTIONAL_ROOTS), None, 30, id="fractional-roots")
+    curve, marked = _shifted_marked_curve()
+    yield pytest.param("shifted-marked", curve, marked, 30, id="shifted-marked")
+
+
+@pytest.mark.parametrize("name, curve, marked, count", list(_oracle_cases()))
+def test_condition_builder_matches_divisor_oracle(name, curve, marked, count):
+    # The class-key miss and riemann_roch_space share one builder; check both
+    # against condition rows built independently from the divisor itself.
+    divisors = _oracle_divisors(random.Random(f"builder-oracle:{name}"), curve, marked, count)
+    assert any(d.coefficient(INFINITY) < 0 for d in divisors)
+    if marked is not None:
+        signs = {(d.coefficient(marked) > 0, d.coefficient(marked.conjugate()) > 0)
+                 for d in divisors if d.coefficient(marked) and d.coefficient(marked.conjugate())}
+        assert len(signs) == 4
+    for d in divisors:
+        den_mult, a_degrees, _, rows, ncols = space_matrix_oracle(curve, d)
+        oracle_basis, rank = gauss_jordan_oracle(rows, ncols)
+        curve._h0_cache.clear()
+        assert class_h0(curve, class_key(curve, d)) == ncols - rank, str(d)
+        den = Poly((1,))
+        for x0, m in den_mult.items():
+            den = den * Poly((-x0, 1)) ** m
+        na = len(a_degrees)
+        expected = tuple(CurveFunction.make(Poly(v[:na]), Poly(v[na:]), den) for v in oracle_basis)
+        assert riemann_roch_space(curve, d).basis == expected, str(d)

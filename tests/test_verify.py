@@ -1,9 +1,15 @@
-"""The verification harness itself: determinism and worker handling."""
+"""The verification harness itself: determinism and checks that `-O` keeps."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from prymlab import run_suite
-from prymlab.verify import SUITE_NAMES, sample_etas_for_k, worker_count
+from prymlab.verify import SUITE_NAMES, sample_etas_for_k
 from prymlab import standard_curve
 
 
@@ -23,22 +29,38 @@ def test_suite_names_all_runnable_small():
         assert suite.genus_max == 2
 
 
-def test_parallel_and_serial_agree(monkeypatch):
-    monkeypatch.setenv("PRYMLAB_THREADS", "1")
-    serial = run_suite("two-torsion", 2)
-    monkeypatch.setenv("PRYMLAB_THREADS", "4")
-    parallel = run_suite("two-torsion", 2)
-    assert serial.checks == parallel.checks
+def test_two_runs_give_identical_reports():
+    first = run_suite("two-torsion", 2)
+    second = run_suite("two-torsion", 2)
+    assert first.checks == second.checks
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("PRYMLAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("PRYMLAB_THREADS", "bogus")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("PRYMLAB_THREADS")
-    assert worker_count() >= 1
+# park_parameters replaced by a wrapper that still raises ValueError where the
+# real function does and otherwise reports nu = 99
+PLANTED_PARK_UNDER_O = """
+import json, sys
+from prymlab import verify
+real = verify.park_parameters
+def planted(genus, k):
+    _, p, regularity = real(genus, k)
+    return 99, p, regularity
+verify.park_parameters = planted
+suite = verify.run_suite("scroll", 2)
+print(json.dumps({"optimize": sys.flags.optimize, "checks": [[c.claim, c.status, c.detail] for c in suite.checks]}))
+"""
+
+
+def test_planted_park_table_fails_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_PARK_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["optimize"] == 1
+    assert report["checks"] == [["park-table", "fail", "k=3: nu 99"]]
 
 
 def test_eta_sampling_is_deterministic_and_spread():
