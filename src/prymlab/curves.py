@@ -37,10 +37,6 @@ class CurvePoint:
     def affine(cls, x: Coefficient, y: Coefficient) -> "CurvePoint":
         return cls(as_fraction(x), as_fraction(y))
 
-    @classmethod
-    def at_infinity(cls) -> "CurvePoint":
-        return INFINITY
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None

@@ -37,10 +37,6 @@ class MumfordClass:
     u: Poly
     v: Poly
 
-    @property
-    def is_identity(self) -> bool:
-        return self.u.degree == 0
-
     def __str__(self) -> str:
         return f"[u = {self.u}, v = {self.v}]"
 
@@ -173,15 +169,7 @@ class TwoTorsionClass:
 
     def beta_divisor(self) -> Divisor:
         """The degree-0 writing sum_{affine w in S} w - #(affine) * oo."""
-        n_aff = 0
-        terms = []
-        for i in sorted(self.subset):
-            p = self.curve.weierstrass_point(i)
-            if not p.is_infinity:
-                terms.append((p, 1))
-                n_aff += 1
-        terms.append((INFINITY, -n_aff))
-        return Divisor(terms)
+        return subset_divisor(self.curve, self.subset)
 
     def twist(self, divisor: Divisor) -> Divisor:
         """divisor + positive - negative: a representative of the eta-twist."""
@@ -214,6 +202,13 @@ class TwoTorsionClass:
         return "trivial" if self.is_trivial else "{" + ",".join(self.labels) + "}"
 
 
+def subset_divisor(curve: HyperellipticCurve, labels: Iterable[Union[int, str]]) -> Divisor:
+    """sum_{affine w in S} w - #(affine) * oo for a set S of ramification
+    labels, canonical or not."""
+    affine = [p for p in map(curve.weierstrass_point, labels) if not p.is_infinity]
+    return Divisor([(p, 1) for p in affine] + [(INFINITY, -len(affine))])
+
+
 def _canonical_subset(curve: HyperellipticCurve, subset: frozenset[int]) -> frozenset[int]:
     n = 2 * curve.genus + 2
     if len(subset) * 2 > n:
@@ -241,13 +236,9 @@ def enumerate_two_torsion(curve: HyperellipticCurve) -> list[TwoTorsionClass]:
     n = 2 * g + 2
     out: list[TwoTorsionClass] = []
     for k in range(1, (g + 1) // 2 + 1):
-        size = 2 * k
-        for combo in itertools.combinations(range(1, n + 1), size):
+        for combo in itertools.combinations(range(1, n + 1), 2 * k):
             subset = frozenset(combo)
-            if 2 * size == n:
-                complement = frozenset(range(1, n + 1)) - subset
-                if sorted(complement) < sorted(subset):
-                    continue
-            out.append(TwoTorsionClass(curve, subset))
+            if _canonical_subset(curve, subset) == subset:
+                out.append(TwoTorsionClass(curve, subset))
     return out
 

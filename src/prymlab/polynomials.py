@@ -45,10 +45,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, c: Coefficient) -> "Poly":
-        return cls((as_fraction(c),))
-
-    @classmethod
     def monomial(cls, degree: int, c: Coefficient = 1) -> "Poly":
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")

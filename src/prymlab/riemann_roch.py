@@ -88,10 +88,6 @@ class CurveFunction:
     def zero(cls) -> "CurveFunction":
         return cls(Poly(), Poly(), ONE)
 
-    @classmethod
-    def one(cls) -> "CurveFunction":
-        return cls(ONE, Poly(), ONE)
-
     @property
     def is_zero(self) -> bool:
         return self.a.is_zero and self.b.is_zero
@@ -205,11 +201,14 @@ def _space_matrix(
     n_inf: int,
 ):
     """Denominator factors [(x0, multiplicity)], the numbers of a- and
-    b-monomials, and exact condition rows (integer ones at ramification
-    points) for L(D), where D = sum n_i w_i + sum n_p p + n_inf oo is given as
-    (label index i, n_i) pairs with 1 <= i <= 2g+1, each label at most once,
-    and ordinary (point, n_p) terms.  Row order is immaterial: the rank and
-    the reduced echelon form do not depend on it."""
+    b-monomials, and exact condition rows for L(D), where
+    D = sum n_i w_i + sum n_p p + n_inf oo is given as (label index i, n_i)
+    pairs with 1 <= i <= 2g+1, each label at most once, and ordinary
+    (point, n_p) terms.  Every Taylor part of a row is an integer
+    `_taylor_rows` row, the plain Taylor condition times a power of x0's
+    denominator; an ordinary-point row's b-part combines those rows with the
+    branch coefficients.  Neither that scaling nor the row order changes the
+    rank or the reduced echelon form."""
     roots = curve.roots
 
     # Denominator from the positive affine part: (x - x_p)^{n_p} at ordinary
@@ -236,27 +235,20 @@ def _space_matrix(
             rows.extend(row + [0] * nb for row in _taylor_rows(x0, na, (t + 1) // 2))
             rows.extend([0] * na + row for row in _taylor_rows(x0, nb, t // 2))
     coeff_at = dict(ordinary)
-    for x0, mult in ordinary_den.items():
-        some_y = next(p.y for p, _ in ordinary if p.x == x0)
-        for q in (CurvePoint(x0, some_y), CurvePoint(x0, -some_y)):
-            t = mult - coeff_at.get(q, 0)
-            if t <= 0:
-                continue
-            branch = _branch(curve, q, t).coeffs
-            a_cols = [
-                [comb(i, l) * x0 ** (i - l) if i >= l else Fraction(0) for l in range(t)]
-                for i in range(na)
-            ]
-            b_cols = []
-            for tay in a_cols[:nb]:  # nb < na: x^j's Taylor column
-                conv = [Fraction(0)] * t
-                for i1, c1 in enumerate(tay):
-                    if c1:
-                        for i2 in range(t - i1):
-                            if branch[i2]:
-                                conv[i1 + i2] += c1 * branch[i2]
-                b_cols.append(conv)
-            rows.extend(list(row) for row in zip(*a_cols, *b_cols))
+    for place in dict.fromkeys(c for p, _ in ordinary for c in (p, p.conjugate())):
+        t = ordinary_den[place.x] - coeff_at.get(place, 0)
+        if t <= 0:
+            continue
+        # Row l: the a-part is taylor[l]; the b-part convolves the Taylor
+        # rows of x^j with the branch y(x), whose s-th coefficient is divided
+        # by q^s to share taylor[l]'s factor q^(na-1-l).
+        taylor = _taylor_rows(place.x, na, t)
+        q = place.x.denominator
+        branch = [c / q**s for s, c in enumerate(_branch(curve, place, t).coeffs)]
+        rows.extend(
+            taylor[l] + [sum(taylor[l - s][j] * branch[s] for s in range(l + 1)) for j in range(nb)]
+            for l in range(t)
+        )
     return den, na, nb, rows
 
 

@@ -57,8 +57,7 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     if eta.k < 2:
         raise ValueError("k = 1: the twisted canonical system has base points")
     g = curve.genus
-    pair = eta.divisor_pair()
-    base = curve.canonical_divisor() + pair.positive - pair.negative
+    base = eta.twist(curve.canonical_divisor())
     pencil = curve.pencil_divisor()
 
     values = [h0(curve, base)]

@@ -38,11 +38,6 @@ class TruncatedSeries:
         center = as_fraction(center)
         return cls(center, tuple(poly.taylor_at(center, precision)))
 
-    def coefficient(self, i: int) -> Fraction:
-        if i >= self.precision:
-            raise IndexError(f"coefficient {i} beyond precision {self.precision}")
-        return self.coeffs[i]
-
     def truncate(self, precision: int) -> "TruncatedSeries":
         if precision > self.precision:
             raise ValueError("cannot extend a truncated series")

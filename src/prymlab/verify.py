@@ -24,10 +24,12 @@ from typing import Callable, Sequence
 from .curves import Divisor, HyperellipticCurve, curve_with_marked_point, standard_curve
 from .jacobian import (
     TwoTorsionClass,
+    _canonical_subset,
     cantor_add,
     cantor_identity,
     enumerate_two_torsion,
     mumford_of_divisor,
+    subset_divisor,
     two_torsion_from_subset,
     validate_mumford,
 )
@@ -100,10 +102,10 @@ def sample_etas_for_k(curve: HyperellipticCurve, k: int, count: int = 3) -> list
     evenly spaced middles, and last subset in lexicographic order."""
     g = curve.genus
     n = 2 * g + 2
-    combos = list(itertools.combinations(range(1, n + 1), 2 * k))
-    if 4 * k == n:  # 2k = g+1: drop complement duplicates
-        full = frozenset(range(1, n + 1))
-        combos = [c for c in combos if sorted(full - set(c)) >= sorted(c)]
+    combos = [
+        c for c in itertools.combinations(range(1, n + 1), 2 * k)
+        if _canonical_subset(curve, frozenset(c)) == frozenset(c)
+    ]
     if count >= len(combos):
         picks = range(len(combos))
     elif count == 1:
@@ -141,15 +143,6 @@ def _base_points(curve, divisor, probes) -> set:
     if value < 1:
         return set()
     return {p for p in probes if h0(curve, divisor - Divisor.of_point(p)) == value}
-
-
-def _subset_writing(curve: HyperellipticCurve, subset) -> Divisor:
-    """The degree-0 divisor writing of a raw (not canonicalized) even subset
-    of ramification labels."""
-    affine = [
-        curve.weierstrass_point(i) for i in sorted(subset) if i <= 2 * curve.genus + 1
-    ]
-    return Divisor.of_points(affine) - Divisor.of_point(curve.infinity, len(affine))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +355,7 @@ def check_beta_two_to_one(genus: int, sample: int | None = None) -> str:
             require(m == full - members[0], f"non-complementary fiber {members}")
             require(
                 is_linearly_equivalent(
-                    curve, _subset_writing(curve, members[0]), _subset_writing(curve, m)
+                    curve, subset_divisor(curve, members[0]), subset_divisor(curve, m)
                 ),
                 f"complementary writings of {eta} not equivalent",
             )

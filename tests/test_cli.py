@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, deterministic JSON."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +287,54 @@ def test_cli_fuzzed_json_exits_0_or_2(tmp_path):
         assert "Traceback" not in err.getvalue()
         codes.append(code)
     assert codes.count(0) > 10 and codes.count(2) > 100
+
+
+# Golden outputs: the stdout sha256 and exit code of a fixed corpus, recorded
+# from a known-good build.  The CLI's JSON must stay byte-identical, so a
+# digest changes only with an intended output change, recorded with it.
+GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
+GOLDEN_CORPUS = (
+    [("verify-all-g3", ["verify", "all", "--genus-max", "3"])]
+    + [
+        (f"cliff-{mode}-g{g}-{eta}", ["cliff", "--curve", f"{{curve{g}}}", "--eta", eta, "--mode", mode]
+         + (["--pool", f"{{pool{g}}}"] if mode == "search" else []))
+        for g in (3, 4) for mode in ("search", "closed") for eta in ("w1,w2", "w1,w2,w3,w4")
+    ]
+    + [(f"h0-g3-mult{n}", ["h0", "--curve", "{curve3}", "--divisor", f"{{divisor{n}}}"])
+       for n in range(-3, 4)]
+    + [
+        ("scroll-g4", ["scroll", "--curve", "{curve4}", "--eta", "w1,w2,w3,w4"]),
+        ("eta-list-g4", ["eta", "list", "--curve", "{curve4}"]),
+    ]
+)
+
+
+def _golden_files(tmp_path) -> dict[str, str]:
+    """Curve and pool files for the genus-3 and genus-4 marked curves, whose
+    marked points are (0, 18) and (0, 72), and the h0 divisors
+    n*(0, 18) + (0, -18) + w1 + oo for n in -3..3."""
+    files = {}
+    for g in (3, 4):
+        curve, marked = curve_with_marked_point(g)
+        y = str(marked.y)
+        pool = {"points": [{"x": "0", "y": y}, {"x": "0", "y": "-" + y}, "w1", "w2", "w3"]}
+        for name, data in ((f"curve{g}", curve_to_dict(curve)), (f"pool{g}", pool)):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(data))
+    for n in range(-3, 4):
+        files[f"divisor{n}"] = tmp_path / f"divisor{n}.json"
+        files[f"divisor{n}"].write_text(json.dumps({"terms": [
+            {"point": {"x": "0", "y": "18"}, "mult": n},
+            {"point": {"x": "0", "y": "-18"}, "mult": 1},
+            {"point": {"label": "w1"}, "mult": 1},
+            {"point": {"at_infinity": True}, "mult": 1},
+        ]}))
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("case, argv", GOLDEN_CORPUS, ids=[case for case, _ in GOLDEN_CORPUS])
+def test_cli_output_matches_golden_digest(tmp_path, capsys, case, argv):
+    files = _golden_files(tmp_path)
+    code, out, _ = run_cli(capsys, *(arg.format(**files) for arg in argv))
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert {"sha256": digest, "exit": code} == GOLDEN["cli"][case]

@@ -1,5 +1,7 @@
-"""The demo scripts run to completion."""
+"""The demo scripts run to completion and print their golden output."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
 
 
 def test_all_five_demos_are_found():
@@ -25,3 +28,5 @@ def test_demo_runs_cleanly(demo):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert {"sha256": digest, "exit": proc.returncode} == GOLDEN["demos"][demo.stem]
