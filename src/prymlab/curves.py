@@ -64,6 +64,9 @@ class CurvePoint:
 
 INFINITY = CurvePoint(None, None)
 
+# Bound on the per-curve memo of points known to lie on the curve.
+ON_CURVE_CAP = 4096
+
 
 DivisorData = Union[
     Mapping[CurvePoint, int], Iterable[tuple[CurvePoint, int]], "Divisor", None
@@ -202,6 +205,7 @@ class HyperellipticCurve:
         if len(rs) < 5:
             raise ValueError("need at least 5 roots: genus must be >= 2")
         self._roots = tuple(rs)
+        self._hash = hash(self._roots)  # once: every 2-torsion class hashes its curve
         self._f = Poly.from_roots(rs)
         self._genus = (len(rs) - 1) // 2
         self._weierstrass = tuple(
@@ -210,6 +214,7 @@ class HyperellipticCurve:
         self._label_of_point = {p: i + 1 for i, p in enumerate(self._weierstrass)}
         self._h0_cache: dict[tuple, int] = {}
         self._branch_cache: dict[tuple, object] = {}
+        self._on_curve: set[CurvePoint] = set()
 
     # -- model ------------------------------------------------------------
 
@@ -234,14 +239,22 @@ class HyperellipticCurve:
     def point(self, x: Coefficient, y: Coefficient) -> CurvePoint:
         """The affine point (x, y); rejected unless y^2 = f(x) exactly."""
         p = CurvePoint.affine(x, y)
-        if p.y * p.y != self._f.evaluate(p.x):
+        if not self.contains(p):
             raise ValueError(f"({p.x}, {p.y}) does not satisfy y^2 = f(x)")
         return p
 
     def contains(self, point: CurvePoint) -> bool:
-        if point.is_infinity:
+        """y^2 = f(x) exactly.  Points that pass are remembered, up to
+        ON_CURVE_CAP of them (the set is cleared when full); a point that
+        fails is evaluated again on every call."""
+        if point.is_infinity or point in self._on_curve:
             return True
-        return point.y * point.y == self._f.evaluate(point.x)
+        if point.y * point.y != self._f.evaluate(point.x):
+            return False
+        if len(self._on_curve) >= ON_CURVE_CAP:
+            self._on_curve.clear()
+        self._on_curve.add(point)
+        return True
 
     @property
     def weierstrass_points(self) -> tuple[CurvePoint, ...]:
@@ -304,7 +317,7 @@ class HyperellipticCurve:
         return isinstance(other, HyperellipticCurve) and self._roots == other._roots
 
     def __hash__(self) -> int:
-        return hash(self._roots)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"HyperellipticCurve(genus={self._genus}, roots={[str(r) for r in self._roots]})"

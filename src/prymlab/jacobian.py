@@ -2,9 +2,13 @@
 
 Degree-zero classes are handled in Mumford form (u, v) with u monic of
 degree <= g, deg v < deg u and u | v^2 - f, composed and reduced with
-Cantor's algorithm.  This is an accelerator and cross-check only: the h0
-oracle in `riemann_roch` remains the source of truth, and any disagreement
-between the two is a bug, never a runtime fallback.
+Cantor's algorithm.  A divisor goes to its class in one pass: the relations
+2w ~ 2oo and P + conj(P) ~ 2oo leave an effective, semi-reduced divisor,
+written directly as one pair (u, v), with v the CRT of 0 at the odd
+ramification roots and of y's branch Taylor polynomial at the ordinary
+points, and then reduced once.  This is an accelerator and cross-check
+only: the h0 oracle in `riemann_roch` remains the source of truth, and any
+disagreement between the two is a bug, never a runtime fallback.
 
 The 2-torsion subgroup is combinatorial: an even subset S of the 2g+2
 ramification points determines the class of
@@ -26,7 +30,7 @@ from typing import Iterable, Union
 
 from .curves import INFINITY, CurvePoint, Divisor, HyperellipticCurve
 from .polynomials import ONE, Poly, poly_xgcd
-from .riemann_roch import h0
+from .riemann_roch import _branch
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,12 @@ def _cantor_reduce(curve: HyperellipticCurve, u: Poly, v: Poly) -> MumfordClass:
     return MumfordClass(u.monic(), v)
 
 
-def cantor_add(curve: HyperellipticCurve, m1: MumfordClass, m2: MumfordClass) -> MumfordClass:
-    """Composition followed by reduction; the group law on Pic^0."""
-    u1, v1 = m1.u, m1.v
-    u2, v2 = m2.u, m2.v
+def _compose(
+    curve: HyperellipticCurve, u1: Poly, v1: Poly, u2: Poly, v2: Poly
+) -> tuple[Poly, Poly]:
+    """Cantor's composition of two semi-reduced pairs: a semi-reduced pair
+    (u, v) of the sum, u monic and deg v < deg u.  For coprime u1, u2 it is
+    the CRT u = u1*u2, v = v1 mod u1, v = v2 mod u2."""
     d1, e1, e2 = poly_xgcd(u1, u2)
     d, c1, c2 = poly_xgcd(d1, v1 + v2)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
@@ -80,8 +86,13 @@ def cantor_add(curve: HyperellipticCurve, m1: MumfordClass, m2: MumfordClass) ->
     num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + curve.f)
     v = num.exact_div(d)
     u = u.monic()
-    v = v % u if u.degree > 0 else Poly()
-    return _cantor_reduce(curve, u, v)
+    return u, (v % u if u.degree > 0 else Poly())
+
+
+def cantor_add(curve: HyperellipticCurve, m1: MumfordClass, m2: MumfordClass) -> MumfordClass:
+    """Composition followed by reduction; the group law on Pic^0.  Either
+    argument may also be a semi-reduced pair with deg u > g."""
+    return _cantor_reduce(curve, *_compose(curve, m1.u, m1.v, m2.u, m2.v))
 
 
 def mumford_of_point(curve: HyperellipticCurve, point: CurvePoint) -> MumfordClass:
@@ -93,19 +104,46 @@ def mumford_of_point(curve: HyperellipticCurve, point: CurvePoint) -> MumfordCla
     return MumfordClass(Poly((-point.x, 1)), Poly((point.y,)))
 
 
+def _fibre_pair(curve: HyperellipticCurve, point: CurvePoint, n: int) -> tuple[Poly, Poly]:
+    """The semi-reduced pair of n*P at an ordinary point P: u = (x - x_P)^n
+    and v the branch of y through P to order n, so u | v^2 - f."""
+    x = Poly((-point.x, 1))
+    v = Poly()
+    for c in reversed(_branch(curve, point, n).coeffs):
+        v = v * x + Poly((c,))
+    return x**n, v
+
+
 def mumford_of_divisor(curve: HyperellipticCurve, divisor: Divisor) -> MumfordClass:
-    """The class of (D - deg(D) * oo), composed point by point."""
-    acc = cantor_identity()
+    """The class of (D - deg(D) * oo), from one semi-reduced pair.
+
+    Every point is checked on the curve first.  Then 2w ~ 2oo reduces each
+    ramification coefficient mod 2, and P + conj(P) ~ 2oo folds each x-fibre
+    of ordinary points into one net multiplicity n, on P if n > 0 and on
+    conj(P) otherwise.  The ordinary fibres compose by CRT into one pair;
+    one `cantor_add` with the ramification pair (prod (x - r), 0) is the
+    last CRT step and the one reduction.
+    """
+    odd_roots = []
+    fibres: dict[Fraction, tuple[Fraction, int]] = {}  # x -> (|y|, net multiplicity on (x, |y|))
     for point, mult in divisor:
         if point.is_infinity:
             continue
-        base = mumford_of_point(curve, point)
-        if mult < 0:
-            base = cantor_negate(curve, base)
-            mult = -mult
-        for _ in range(mult):
-            acc = cantor_add(curve, acc, base)
-    return acc
+        if not curve.contains(point):
+            raise ValueError(f"point {point} is not on the curve")
+        if not point.y:
+            if mult % 2:
+                odd_roots.append(point.x)
+            continue
+        y, net = fibres.get(point.x, (abs(point.y), 0))
+        fibres[point.x] = (y, net + (mult if point.y > 0 else -mult))
+    u, v = ONE, Poly()
+    for x0, (y, net) in fibres.items():
+        if net:
+            point = CurvePoint(x0, y if net > 0 else -y)
+            u, v = _compose(curve, u, v, *_fibre_pair(curve, point, abs(net)))
+    ramified = MumfordClass(Poly.from_roots(odd_roots), Poly())
+    return cantor_add(curve, ramified, MumfordClass(u, v))
 
 
 # ---------------------------------------------------------------------------

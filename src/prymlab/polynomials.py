@@ -155,9 +155,6 @@ class Poly:
                     rem[i - dd + j] -= q * dv[j]
         return Poly(quot), Poly(rem[:dd] if dd else ())
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 

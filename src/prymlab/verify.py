@@ -374,16 +374,34 @@ def check_beta_two_to_one(genus: int, sample: int | None = None) -> str:
     return f"{fibers} complementary fibers equivalent, {checked} cross-pairs distinct"
 
 
+def _unrank_pair(n: int, index: int) -> tuple[int, int]:
+    """The index-th pair of itertools.combinations(range(n), 2)."""
+    def before(i: int) -> int:  # the pairs whose first entry is below i
+        return i * n - i * (i + 1) // 2
+
+    lo, hi = 0, n - 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if before(mid) <= index:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, lo + 1 + index - before(lo)
+
+
 def check_group_closure(genus: int, sample_pairs: int | None = None) -> str:
     """Symmetric difference is a group law: involution, closure, and
     agreement between subset, Cantor, and h0 composition on sampled pairs."""
     curve = standard_curve(genus)
     classes = enumerate_two_torsion(curve)
     class_set = set(classes)
-    pairs = list(itertools.combinations(range(len(classes)), 2))
+    n = len(classes)
     rng = random.Random(f"group-closure:{genus}")
-    if sample_pairs is not None and len(pairs) > sample_pairs:
-        pairs = rng.sample(pairs, sample_pairs)
+    if sample_pairs is not None and comb(n, 2) > sample_pairs:
+        # the same draw as sampling the list of all pairs, without building it
+        pairs = [_unrank_pair(n, index) for index in rng.sample(range(comb(n, 2)), sample_pairs)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
     for c in classes:
         require(c.combine(c).is_trivial, f"{c} + {c} not trivial")
     for i, j in pairs:

@@ -6,7 +6,49 @@ import random
 from fractions import Fraction
 from math import comb
 
-from prymlab import INFINITY, CurvePoint, Divisor, HyperellipticCurve, series_sqrt_branch
+from prymlab import (
+    INFINITY,
+    CurvePoint,
+    Divisor,
+    HyperellipticCurve,
+    MumfordClass,
+    cantor_add,
+    cantor_identity,
+    cantor_negate,
+    curve_with_marked_point,
+    mumford_of_point,
+    series_sqrt_branch,
+)
+
+
+def shifted_marked_curve() -> tuple[HyperellipticCurve, CurvePoint]:
+    """curve_with_marked_point(3) under x -> x/4 + 1/3: roots with
+    denominators 6 and 12 and an ordinary point at x = 1/3, y = 9/64."""
+    c, marked = curve_with_marked_point(3)
+    curve = HyperellipticCurve([r / 4 + Fraction(1, 3) for r in c.roots])
+    point = CurvePoint.affine(Fraction(1, 3), marked.y / 2**7)
+    assert curve.contains(point)
+    return curve, point
+
+
+def mumford_point_by_point_oracle(curve: HyperellipticCurve, divisor: Divisor) -> MumfordClass:
+    """The class of (D - deg(D) * oo), composed one point at a time.
+
+    Reference for `prymlab.jacobian.mumford_of_divisor`: no relation is
+    applied up front; the class (x - x_P, y_P) of each point, negated for a
+    negative coefficient, is added |n| times with `cantor_add`.
+    """
+    acc = cantor_identity()
+    for point, mult in divisor:
+        if point.is_infinity:
+            continue
+        base = mumford_of_point(curve, point)
+        if mult < 0:
+            base = cantor_negate(curve, base)
+            mult = -mult
+        for _ in range(mult):
+            acc = cantor_add(curve, acc, base)
+    return acc
 
 
 def gauss_jordan_oracle(matrix, cols: int) -> tuple[list[list[Fraction]], int]:

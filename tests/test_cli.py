@@ -12,6 +12,7 @@ import pytest
 from prymlab import curve_with_marked_point
 from prymlab.cli import main
 from prymlab.serialize import curve_to_dict
+from support import shifted_marked_curve
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +294,9 @@ def test_cli_fuzzed_json_exits_0_or_2(tmp_path):
 # from a known-good build.  The CLI's JSON must stay byte-identical, so a
 # digest changes only with an intended output change, recorded with it.
 GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
+# (n, m, c) of n*P + m*conj(P) + w1 + c*oo on the shifted marked curve, whose
+# ordinary point P = (1/3, 9/64) has an x with denominator 3
+SHIFTED_DIVISORS = ((2, 2, -4), (2, 1, -2), (3, 2, -4), (3, -2, 2), (4, -3, 2), (4, 1, -5))
 GOLDEN_CORPUS = (
     [("verify-all-g3", ["verify", "all", "--genus-max", "3"])]
     + [
@@ -302,6 +306,8 @@ GOLDEN_CORPUS = (
     ]
     + [(f"h0-g3-mult{n}", ["h0", "--curve", "{curve3}", "--divisor", f"{{divisor{n}}}"])
        for n in range(-3, 4)]
+    + [(f"h0-shifted-{n}P{m:+d}P'{c:+d}oo", ["h0", "--curve", "{shifted}", "--divisor", f"{{shifted{n}{m}{c}}}"])
+       for n, m, c in SHIFTED_DIVISORS]
     + [
         ("scroll-g4", ["scroll", "--curve", "{curve4}", "--eta", "w1,w2,w3,w4"]),
         ("eta-list-g4", ["eta", "list", "--curve", "{curve4}"]),
@@ -311,8 +317,9 @@ GOLDEN_CORPUS = (
 
 def _golden_files(tmp_path) -> dict[str, str]:
     """Curve and pool files for the genus-3 and genus-4 marked curves, whose
-    marked points are (0, 18) and (0, 72), and the h0 divisors
-    n*(0, 18) + (0, -18) + w1 + oo for n in -3..3."""
+    marked points are (0, 18) and (0, 72), the h0 divisors
+    n*(0, 18) + (0, -18) + w1 + oo for n in -3..3, and the shifted marked
+    curve with its SHIFTED_DIVISORS."""
     files = {}
     for g in (3, 4):
         curve, marked = curve_with_marked_point(g)
@@ -321,14 +328,22 @@ def _golden_files(tmp_path) -> dict[str, str]:
         for name, data in ((f"curve{g}", curve_to_dict(curve)), (f"pool{g}", pool)):
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps(data))
-    for n in range(-3, 4):
-        files[f"divisor{n}"] = tmp_path / f"divisor{n}.json"
-        files[f"divisor{n}"].write_text(json.dumps({"terms": [
-            {"point": {"x": "0", "y": "18"}, "mult": n},
-            {"point": {"x": "0", "y": "-18"}, "mult": 1},
+    def divisor_file(name, x, y, n, m, c):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({"terms": [
+            {"point": {"x": x, "y": y}, "mult": n},
+            {"point": {"x": x, "y": "-" + y}, "mult": m},
             {"point": {"label": "w1"}, "mult": 1},
-            {"point": {"at_infinity": True}, "mult": 1},
+            {"point": {"at_infinity": True}, "mult": c},
         ]}))
+
+    for n in range(-3, 4):
+        divisor_file(f"divisor{n}", "0", "18", n, 1, 1)
+    shifted, point = shifted_marked_curve()
+    files["shifted"] = tmp_path / "shifted.json"
+    files["shifted"].write_text(json.dumps(curve_to_dict(shifted)))
+    for n, m, c in SHIFTED_DIVISORS:
+        divisor_file(f"shifted{n}{m}{c}", str(point.x), str(point.y), n, m, c)
     return {name: str(path) for name, path in files.items()}
 
 

@@ -3,10 +3,13 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from prymlab import (
+    INFINITY,
+    CurvePoint,
     Divisor,
     MumfordClass,
     Poly,
@@ -22,7 +25,7 @@ from prymlab import (
     two_torsion_from_subset,
     validate_mumford,
 )
-from support import random_weierstrass_divisor
+from support import mumford_point_by_point_oracle, random_weierstrass_divisor, shifted_marked_curve
 
 
 def test_identity_and_inverse():
@@ -84,6 +87,41 @@ def test_mumford_of_divisor_matches_oracle():
             validate_mumford(c, m1)
             validate_mumford(c, m2)
             assert (m1 == m2) == is_linearly_equivalent(c, d1, d2)
+
+
+def _marked_curves():
+    yield from (pytest.param(*curve_with_marked_point(g), id=f"genus{g}") for g in (2, 3, 4, 5))
+    yield pytest.param(*shifted_marked_curve(), id="shifted-marked")
+
+
+@pytest.mark.parametrize("curve, marked", list(_marked_curves()))
+def test_mumford_of_divisor_matches_point_by_point_oracle(curve, marked):
+    # every sign pair of multiplicities up to 5, odd and even, on P and
+    # conj(P), each with a seeded ramification part of coefficients -3..3
+    # and a seeded oo term
+    affine_w = [w for w in curve.weierstrass_points if not w.is_infinity]
+    rng = random.Random(f"mumford-oracle:{curve.genus}:{marked}")
+    for a, b in itertools.product((-5, -4, -2, -1, 0, 1, 3, 5), repeat=2):
+        terms = [(w, rng.randint(-3, 3)) for w in rng.sample(affine_w, rng.randint(0, 3))]
+        terms += [(marked, a), (marked.conjugate(), b), (INFINITY, rng.randint(-4, 4))]
+        d = Divisor(terms)
+        m = mumford_of_divisor(curve, d)
+        validate_mumford(curve, m)
+        assert m == mumford_point_by_point_oracle(curve, d), str(d)
+    oo = Divisor.of_point(INFINITY)
+    for zero_class in (Divisor(), 3 * oo, Divisor.of_points((marked, marked.conjugate())) - 2 * oo,
+                       sum((2 * Divisor.of_point(w) for w in affine_w), Divisor())):
+        assert mumford_of_divisor(curve, zero_class) == cantor_identity()
+
+
+def test_mumford_of_divisor_rejects_points_off_the_curve():
+    curve, marked = shifted_marked_curve()
+    off_curve = CurvePoint.affine(Fraction(1, 3), 5)
+    over_root = CurvePoint.affine(curve.roots[0], 1)
+    for bad in (off_curve, over_root):
+        for d in (Divisor.of_point(bad), Divisor(((marked, 3), (curve.weierstrass_point(1), 1), (bad, -2)))):
+            with pytest.raises(ValueError, match="not on the curve"):
+                mumford_of_divisor(curve, d)
 
 
 def test_doubling_an_ordinary_point():

@@ -1,7 +1,6 @@
 """The Riemann-Roch engine: valuations, spaces, dimensions, equivalence."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -24,6 +23,7 @@ from prymlab.riemann_roch import class_h0, class_key, residual_key, twisted_key
 from support import (
     gauss_jordan_oracle,
     random_weierstrass_divisor,
+    shifted_marked_curve,
     space_matrix_oracle,
     weierstrass_h0_oracle,
 )
@@ -154,16 +154,6 @@ def test_agrees_with_counting_oracle():
 FRACTIONAL_ROOTS = ("-3/2", "-1/3", "0", "1/3", "1/2", "5/4", "3")
 
 
-def _shifted_marked_curve():
-    """curve_with_marked_point(3) under x -> x/4 + 1/3: roots with
-    denominators 6 and 12 and an ordinary point at x = 1/3."""
-    c, marked = curve_with_marked_point(3)
-    curve = HyperellipticCurve([r / 4 + Fraction(1, 3) for r in c.roots])
-    point = CurvePoint.affine(Fraction(1, 3), marked.y / 2**7)
-    assert curve.contains(point)
-    return curve, point
-
-
 def test_fractional_roots_agree_with_counting_oracle():
     c = HyperellipticCurve(FRACTIONAL_ROOTS)
     K = c.canonical_divisor()
@@ -177,7 +167,7 @@ def test_fractional_roots_agree_with_counting_oracle():
 
 
 def test_fractional_roots_riemann_roch_with_ordinary_points():
-    c, marked = _shifted_marked_curve()
+    c, marked = shifted_marked_curve()
     K = c.canonical_divisor()
     pts = list(c.weierstrass_points) + [marked, marked.conjugate()]
     rng = random.Random(3200)
@@ -374,7 +364,7 @@ def _oracle_cases():
         marked_curve, marked = curve_with_marked_point(genus)
         yield pytest.param(f"g{genus}", HyperellipticCurve(marked_curve.roots), marked, count, id=f"genus{genus}")
     yield pytest.param("fractional-roots", HyperellipticCurve(FRACTIONAL_ROOTS), None, 30, id="fractional-roots")
-    curve, marked = _shifted_marked_curve()
+    curve, marked = shifted_marked_curve()
     yield pytest.param("shifted-marked", curve, marked, 30, id="shifted-marked")
 
 

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from prymlab import run_suite
-from prymlab.verify import SUITE_NAMES, sample_etas_for_k
+from prymlab.verify import SUITE_NAMES, check_group_closure, sample_etas_for_k
 from prymlab import standard_curve
 
 
@@ -71,3 +72,16 @@ def test_eta_sampling_is_deterministic_and_spread():
     assert len(a) == 3
     assert len({e.subset for e in a}) == 3
     assert all(e.k == 3 for e in a)
+
+
+def test_group_closure_samples_pairs_in_bounded_memory():
+    # genus 7 has 16,383 classes: the list of all their pairs alone would
+    # take about 8.8 GB, so the sampled pairs must be drawn without it
+    tracemalloc.start()
+    try:
+        detail = check_group_closure(7, 150)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert detail == "16383 involutions, 150 composition pairs"
+    assert peak < 100 * 2**20
