@@ -64,8 +64,18 @@ class CurvePoint:
 
 INFINITY = CurvePoint(None, None)
 
-# Bound on the per-curve memo of points known to lie on the curve.
-ON_CURVE_CAP = 4096
+# Bound on each per-curve memo keyed by points: the points known to lie on
+# the curve, the branch expansions and the Taylor tables of `riemann_roch`.
+# A full memo is cleared; its entries are pure, so that only costs work.
+POINT_MEMO_CAP = 4096
+
+
+def memo_put(memo: dict, key, value) -> None:
+    """memo[key] = value, clearing the memo first if it holds POINT_MEMO_CAP
+    entries and not this key."""
+    if len(memo) >= POINT_MEMO_CAP and key not in memo:
+        memo.clear()
+    memo[key] = value
 
 
 DivisorData = Union[
@@ -213,7 +223,8 @@ class HyperellipticCurve:
         )
         self._label_of_point = {p: i + 1 for i, p in enumerate(self._weierstrass)}
         self._h0_cache: dict[tuple, int] = {}
-        self._branch_cache: dict[tuple, object] = {}
+        self._branch_cache: dict[CurvePoint, object] = {}
+        self._taylor_cache: dict[int | CurvePoint, list[list[int]]] = {}
         self._on_curve: set[CurvePoint] = set()
 
     # -- model ------------------------------------------------------------
@@ -245,13 +256,13 @@ class HyperellipticCurve:
 
     def contains(self, point: CurvePoint) -> bool:
         """y^2 = f(x) exactly.  Points that pass are remembered, up to
-        ON_CURVE_CAP of them (the set is cleared when full); a point that
+        POINT_MEMO_CAP of them (the set is cleared when full); a point that
         fails is evaluated again on every call."""
         if point.is_infinity or point in self._on_curve:
             return True
         if point.y * point.y != self._f.evaluate(point.x):
             return False
-        if len(self._on_curve) >= ON_CURVE_CAP:
+        if len(self._on_curve) >= POINT_MEMO_CAP:
             self._on_curve.clear()
         self._on_curve.add(point)
         return True

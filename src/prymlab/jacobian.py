@@ -120,9 +120,10 @@ def mumford_of_divisor(curve: HyperellipticCurve, divisor: Divisor) -> MumfordCl
     Every point is checked on the curve first.  Then 2w ~ 2oo reduces each
     ramification coefficient mod 2, and P + conj(P) ~ 2oo folds each x-fibre
     of ordinary points into one net multiplicity n, on P if n > 0 and on
-    conj(P) otherwise.  The ordinary fibres compose by CRT into one pair;
-    one `cantor_add` with the ramification pair (prod (x - r), 0) is the
-    last CRT step and the one reduction.
+    conj(P) otherwise.  The ordinary fibres compose by CRT into one pair,
+    starting from the first fibre's own pair; one `cantor_add` with the
+    ramification pair (prod (x - r), 0) is the last CRT step and the one
+    reduction.
     """
     odd_roots = []
     fibres: dict[Fraction, tuple[Fraction, int]] = {}  # x -> (|y|, net multiplicity on (x, |y|))
@@ -137,11 +138,14 @@ def mumford_of_divisor(curve: HyperellipticCurve, divisor: Divisor) -> MumfordCl
             continue
         y, net = fibres.get(point.x, (abs(point.y), 0))
         fibres[point.x] = (y, net + (mult if point.y > 0 else -mult))
-    u, v = ONE, Poly()
-    for x0, (y, net) in fibres.items():
-        if net:
-            point = CurvePoint(x0, y if net > 0 else -y)
-            u, v = _compose(curve, u, v, *_fibre_pair(curve, point, abs(net)))
+    pairs = [
+        _fibre_pair(curve, CurvePoint(x0, y if net > 0 else -y), abs(net))
+        for x0, (y, net) in fibres.items()
+        if net
+    ]
+    u, v = pairs[0] if pairs else (ONE, Poly())
+    for pair in pairs[1:]:
+        u, v = _compose(curve, u, v, *pair)
     ramified = MumfordClass(Poly.from_roots(odd_roots), Poly())
     return cantor_add(curve, ramified, MumfordClass(u, v))
 

@@ -1,13 +1,19 @@
 """Exact dense linear algebra over the rationals.
 
 Only what the Riemann-Roch solver needs: a right null space and a rank, both
-from one fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  Each
-row is first scaled to integers by the lcm of its denominators, which leaves
-the kernel and the rank unchanged; the elimination then runs over Python
-ints and every division by the previous pivot is exact.  Pivoting is by
-leftmost column with the first nonzero row.  The reduced echelon form is
+from one fraction-free elimination (Bareiss, Math. Comp. 22, 1968) over
+Python ints, in which every division by the previous pivot is exact.  Rows
+may hold ints, Fractions or both.  A row of ints is used as it is (one type
+check, no copy), which is the case for every condition row the Riemann-Roch
+builder emits; any other row is first scaled to integers by the lcm of its
+denominators, which leaves the kernel and the rank unchanged.  Pivoting is
+by leftmost column with the first nonzero row.  The reduced echelon form is
 unique, so the bases do not depend on the pivoting and identical inputs
 always give identical bases.
+
+`matrix_rank` first eliminates the leading w x w block, w = min(rows, cols)
+over the nonzero rows.  When that block has full rank it certifies the
+answer, since w <= rank <= w; otherwise the whole matrix is eliminated.
 """
 
 from __future__ import annotations
@@ -19,21 +25,25 @@ from typing import Sequence
 Matrix = Sequence[Sequence[Fraction | int]]
 
 
-def _integer_rows(matrix: Matrix, cols: int) -> list[list[int]]:
-    """The nonzero rows, each times the lcm of its denominators."""
+def _integer_rows(matrix: Matrix, cols: int) -> list[Sequence[int]]:
+    """The nonzero rows as integer rows: a row of ints as it is, any other
+    row times the lcm of its denominators.  The rows are never changed in
+    place, here or by `_eliminate`."""
     rows = []
     for r in matrix:
         if len(r) != cols:
             raise ValueError("ragged matrix")
-        scale = lcm(*{c.denominator for c in r})
-        row = [c.numerator * (scale // c.denominator) for c in r]
-        if any(row):
-            rows.append(row)
+        if type(sum(r)) is not int:  # a Fraction entry makes the sum a Fraction
+            scale = lcm(*{c.denominator for c in r})
+            r = [c.numerator * (scale // c.denominator) for c in r]
+        if any(r):
+            rows.append(r)
     return rows
 
 
-def _eliminate(rows: list[list[int]], cols: int, reduce: bool) -> tuple[list[int], int]:
-    """Fraction-free elimination of integer rows in place.
+def _eliminate(rows: list[Sequence[int]], cols: int, reduce: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination of integer rows; it replaces entries of the
+    list `rows`, never the contents of a row.
 
     Returns the pivot columns and the last pivot d.  Afterwards row i (for i
     below the rank) has its pivot in column pivots[i], and the rows below
@@ -96,5 +106,13 @@ def kernel_basis(matrix: Matrix, cols: int) -> list[list[Fraction]]:
 
 
 def matrix_rank(matrix: Matrix, cols: int) -> int:
-    """Rank by fraction-free forward elimination, exact."""
-    return len(_eliminate(_integer_rows(matrix, cols), cols, reduce=False)[0])
+    """Rank by fraction-free forward elimination, exact.
+
+    A full-rank leading w x w block, w = min(rows, cols), certifies rank w;
+    a singular one falls through to the elimination of the whole matrix.
+    """
+    rows = _integer_rows(matrix, cols)
+    w = min(len(rows), cols)
+    if len(_eliminate([r[:w] for r in rows[:w]], w, reduce=False)[0]) == w:
+        return w
+    return len(_eliminate(rows, cols, reduce=False)[0])

@@ -16,6 +16,17 @@ and eliminating with the fraction-free routine of `linalg`: a basis is the
 null space, `h0` is ncols minus the rank.  Everything is exact; a dimension
 returned by `h0` is a certificate, not an estimate.
 
+Every condition row is built as a row of ints, so `linalg` takes it as it
+is.  A Taylor condition at x0 = p/q is scaled by a power of q, and the
+rows of an ordinary point also by the lcm of its branch denominators; a
+row scaling changes neither the rank nor the reduced echelon form.  The
+Taylor rows come from a table per curve and place, keyed by the label
+index of a ramification point or by an ordinary point.  A table of width
+N serves any request of width n <= N by row prefixes: a prefix is the
+width-n row times q^(N-n), again a row scaling.  The Taylor tables and the
+branch expansions are pure memos of at most `curves.POINT_MEMO_CAP`
+entries each per curve, cleared when full.
+
 `h0` is memoized per curve by divisor class.  The key of D is
 
     (odd affine-ramification mask, ordinary-point terms, degree),
@@ -44,10 +55,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Sequence
 
-from .curves import CurvePoint, Divisor, HyperellipticCurve
+from .curves import CurvePoint, Divisor, HyperellipticCurve, memo_put
 from .linalg import kernel_basis, matrix_rank
 from .polynomials import ONE, Poly, poly_gcd
 from .series import TruncatedSeries, series_sqrt_branch
@@ -127,11 +138,10 @@ class RRSpace:
 
 def _branch(curve: HyperellipticCurve, point: CurvePoint, precision: int) -> TruncatedSeries:
     """Cached sqrt branch of the curve through a non-ramification point."""
-    key = (point.x, point.y)
-    cached = curve._branch_cache.get(key)
+    cached = curve._branch_cache.get(point)
     if cached is None or cached.precision < precision:
         cached = series_sqrt_branch(curve.f, point.x, point.y, precision)
-        curve._branch_cache[key] = cached
+        memo_put(curve._branch_cache, point, cached)
     return cached.truncate(precision) if cached.precision > precision else cached
 
 
@@ -184,14 +194,27 @@ def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -
 # Riemann-Roch spaces
 
 
-def _taylor_rows(x0: Fraction, size: int, orders: int) -> list[list[int]]:
-    """Order-l Taylor rows (l < orders) of x^0..x^(size-1) at x0 = p/q, times
-    q^(size-1-l) to make them integers: comb(i, l) p^(i-l) q^(size-1-i)."""
+def _taylor_table(
+    curve: HyperellipticCurve, key: int | CurvePoint, x0: Fraction, size: int, orders: int
+) -> list[list[int]]:
+    """At least `orders` integer Taylor rows of x^0..x^(N-1) at x0 = p/q for
+    some N >= size, from the per-curve table under `key` (a label index or
+    an ordinary point): row l is comb(i, l) p^(i-l) q^(N-1-i), the order-l
+    Taylor condition times q^(N-1-l).  The first n entries of a row are the
+    width-n row times q^(N-n), so a prefix is a scaled row of the narrow
+    table.  A table too small for the request is rebuilt to cover it."""
+    table = curve._taylor_cache.get(key)
+    if table is not None and len(table) >= orders and len(table[0]) >= size:
+        return table
+    if table is not None:
+        size, orders = max(size, len(table[0])), max(orders, len(table))
     p, q = x0.numerator, x0.denominator
-    return [
+    table = [
         [comb(i, l) * p ** (i - l) * q ** (size - 1 - i) if i >= l else 0 for i in range(size)]
         for l in range(orders)
     ]
+    memo_put(curve._taylor_cache, key, table)
+    return table
 
 
 def _space_matrix(
@@ -201,14 +224,15 @@ def _space_matrix(
     n_inf: int,
 ):
     """Denominator factors [(x0, multiplicity)], the numbers of a- and
-    b-monomials, and exact condition rows for L(D), where
+    b-monomials, and integer condition rows for L(D), where
     D = sum n_i w_i + sum n_p p + n_inf oo is given as (label index i, n_i)
     pairs with 1 <= i <= 2g+1, each label at most once, and ordinary
-    (point, n_p) terms.  Every Taylor part of a row is an integer
-    `_taylor_rows` row, the plain Taylor condition times a power of x0's
+    (point, n_p) terms.  Every Taylor part of a row is a prefix of a
+    `_taylor_table` row, the plain Taylor condition times a power of x0's
     denominator; an ordinary-point row's b-part combines those rows with the
-    branch coefficients.  Neither that scaling nor the row order changes the
-    rank or the reduced echelon form."""
+    branch coefficients, and the rows of a place are then scaled to integers
+    by the lcm of its branch denominators.  Neither that scaling nor the row
+    order changes the rank or the reduced echelon form."""
     roots = curve.roots
 
     # Denominator from the positive affine part: (x - x_p)^{n_p} at ordinary
@@ -226,14 +250,14 @@ def _space_matrix(
 
     # Required numerator vanishing orders place by place: the order the
     # denominator introduces minus the order the divisor allows.
-    rows: list[list[Fraction | int]] = []
+    rows: list[list[int]] = []
     for i, n in ramification:
         t = n % 2 if n > 0 else -n  # the denominator has order 2*ceil(n/2) at w_i
         if t:
             # ord(a) = 2 mult_x0(a), ord(b*y) = 2 mult_x0(b) + 1
-            x0 = roots[i - 1]
-            rows.extend(row + [0] * nb for row in _taylor_rows(x0, na, (t + 1) // 2))
-            rows.extend([0] * na + row for row in _taylor_rows(x0, nb, t // 2))
+            taylor = _taylor_table(curve, i, roots[i - 1], na, (t + 1) // 2)
+            rows.extend(row[:na] + [0] * nb for row in taylor[: (t + 1) // 2])
+            rows.extend([0] * na + row[:nb] for row in taylor[: t // 2])
     coeff_at = dict(ordinary)
     for place in dict.fromkeys(c for p, _ in ordinary for c in (p, p.conjugate())):
         t = ordinary_den[place.x] - coeff_at.get(place, 0)
@@ -241,12 +265,16 @@ def _space_matrix(
             continue
         # Row l: the a-part is taylor[l]; the b-part convolves the Taylor
         # rows of x^j with the branch y(x), whose s-th coefficient is divided
-        # by q^s to share taylor[l]'s factor q^(na-1-l).
-        taylor = _taylor_rows(place.x, na, t)
+        # by q^s to share taylor[l]'s power of q.  Every row of the place is
+        # then scaled by the lcm of those coefficients' denominators.
+        taylor = _taylor_table(curve, place, place.x, na, t)
         q = place.x.denominator
         branch = [c / q**s for s, c in enumerate(_branch(curve, place, t).coeffs)]
+        scale = lcm(*(c.denominator for c in branch))
+        branch = [c.numerator * (scale // c.denominator) for c in branch]
         rows.extend(
-            taylor[l] + [sum(taylor[l - s][j] * branch[s] for s in range(l + 1)) for j in range(nb)]
+            [scale * c for c in taylor[l][:na]]
+            + [sum(taylor[l - s][j] * branch[s] for s in range(l + 1)) for j in range(nb)]
             for l in range(t)
         )
     return den, na, nb, rows

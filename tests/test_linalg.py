@@ -1,6 +1,7 @@
 """Exact null-space and rank computation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from prymlab import (
     HyperellipticCurve,
     curve_with_marked_point,
     kernel_basis,
+    linalg,
     matrix_rank,
     riemann_roch,
     two_torsion_from_subset,
@@ -116,6 +118,45 @@ def test_matches_gauss_jordan_oracle_on_seeded_matrices():
         as_ints = [[c.numerator for c in row] for row in matrix]
         assert kernel_basis(as_ints, cols) == gauss_jordan_oracle(as_ints, cols)[0]
         assert matrix_rank(as_ints, cols) == gauss_jordan_oracle(as_ints, cols)[1]
+
+
+def test_rank_falls_through_a_singular_leading_block():
+    # Leading w x w block singular (w = min(rows, cols)): the block cannot
+    # certify the rank, which is w or less depending on the other entries.
+    assert matrix_rank([[1, 2, 3], [2, 4, 5]], 3) == 2
+    assert matrix_rank([[1, 2], [2, 4], [0, 1]], 2) == 2
+    rng = random.Random(77)
+    ranks = Counter()
+    for _ in range(400):
+        w = rng.randint(1, 5)
+        extra = rng.randint(1, 4)
+        tall = rng.random() < 0.5
+        rows, cols = (w + extra, w) if tall else (w, w + extra)
+        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        # row w-1 of the block is a combination of the rows above it
+        coeffs = [rng.randint(-2, 2) for _ in range(w - 1)]
+        for j in range(w):
+            m[w - 1][j] = sum(c * m[i][j] for i, c in enumerate(coeffs))
+        if rng.random() < 0.5:  # the whole of row w-1 follows the others too
+            for j in range(cols):
+                m[w - 1][j] = sum(c * m[i][j] for i, c in enumerate(coeffs))
+            if tall:  # and so do the rows below the block
+                for i in range(w, rows):
+                    m[i] = [sum(r[j] * rng.randint(-2, 2) for r in m[: w - 1]) for j in range(cols)]
+        as_fractions = [[Fraction(c, 3) for c in row] for row in m]
+        rank = gauss_jordan_oracle(m, cols)[1]
+        assert gauss_jordan_oracle([row[:w] for row in m[:w]], w)[1] < w
+        assert matrix_rank(m, cols) == rank, m
+        assert matrix_rank(as_fractions, cols) == rank, m
+        ranks[rank == w] += 1
+    assert ranks[True] > 50 and ranks[False] > 50
+
+
+def test_integer_rows_are_used_as_they_are():
+    row, mixed = [3, 0, -2], [Fraction(1, 2), 1, 0]
+    rows = linalg._integer_rows([row, [0, 0, 0], mixed], 3)
+    assert rows[0] is row
+    assert rows[1:] == [[1, 2, 0]]
 
 
 def test_kernel_entries_are_fractions():

@@ -1,6 +1,8 @@
 """The Riemann-Roch engine: valuations, spaces, dimensions, equivalence."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,9 +14,11 @@ from prymlab import (
     HyperellipticCurve,
     Poly,
     curve_with_marked_point,
+    curves,
     enumerate_two_torsion,
     h0,
     is_linearly_equivalent,
+    riemann_roch,
     riemann_roch_space,
     standard_curve,
     valuation,
@@ -379,13 +383,92 @@ def test_condition_builder_matches_divisor_oracle(name, curve, marked, count):
                  for d in divisors if d.coefficient(marked) and d.coefficient(marked.conjugate())}
         assert len(signs) == 4
     for d in divisors:
-        den_mult, a_degrees, _, rows, ncols = space_matrix_oracle(curve, d)
-        oracle_basis, rank = gauss_jordan_oracle(rows, ncols)
+        dim, expected = _oracle_space(curve, d)
         curve._h0_cache.clear()
-        assert class_h0(curve, class_key(curve, d)) == ncols - rank, str(d)
-        den = Poly((1,))
-        for x0, m in den_mult.items():
-            den = den * Poly((-x0, 1)) ** m
-        na = len(a_degrees)
-        expected = tuple(CurveFunction.make(Poly(v[:na]), Poly(v[na:]), den) for v in oracle_basis)
+        assert class_h0(curve, class_key(curve, d)) == dim, str(d)
         assert riemann_roch_space(curve, d).basis == expected, str(d)
+
+
+def _oracle_space(curve, d):
+    """(h0, basis) of L(D) from space_matrix_oracle and gauss_jordan_oracle."""
+    den_mult, a_degrees, _, rows, ncols = space_matrix_oracle(curve, d)
+    oracle_basis, rank = gauss_jordan_oracle(rows, ncols)
+    den = Poly((1,))
+    for x0, m in den_mult.items():
+        den = den * Poly((-x0, 1)) ** m
+    na = len(a_degrees)
+    basis = tuple(CurveFunction.make(Poly(v[:na]), Poly(v[na:]), den) for v in oracle_basis)
+    return ncols - rank, basis
+
+
+def _prefix_cases():
+    curve, marked = shifted_marked_curve()
+    yield pytest.param(curve.roots, marked, id="shifted-marked")
+    yield pytest.param(FRACTIONAL_ROOTS, None, id="fractional-roots")
+
+
+@pytest.mark.parametrize("roots, marked", list(_prefix_cases()))
+def test_wide_taylor_tables_give_the_cold_answers(roots, marked, monkeypatch):
+    # Taylor rows at x0 = p/q with q > 1 from tables widened by a
+    # high-degree divisor: each prefix is a narrow row times a power of q,
+    # which must leave h0 and the bases exactly as a cold curve gives them.
+    widths = []
+
+    def recording(curve, ramification, ordinary, n_inf):
+        den, na, nb, rows = space_matrix(curve, ramification, ordinary, n_inf)
+        assert all(type(c) is int for row in rows for c in row)
+        widths.append(na)
+        return den, na, nb, rows
+
+    space_matrix = riemann_roch._space_matrix
+    monkeypatch.setattr(riemann_roch, "_space_matrix", recording)
+    c = HyperellipticCurve(roots)
+    wide = [(w, -3) for w in c.weierstrass_points[:-1]] + [(INFINITY, 40)]
+    if marked is not None:
+        wide += [(marked, 4), (marked.conjugate(), 2)]
+    riemann_roch_space(c, Divisor(wide))
+    width = widths[-1]
+    assert all(len(table[0]) >= width for table in c._taylor_cache.values())
+    assert len(c._taylor_cache) == 2 * c.genus + 1 + (0 if marked is None else 2)
+
+    divisors = _oracle_divisors(random.Random(f"prefix:{len(roots)}"), c, marked, 30)
+    for d in divisors:
+        widths.clear()
+        dim, basis = _oracle_space(c, d)
+        assert h0(c, d) == dim == h0(HyperellipticCurve(roots), d), str(d)
+        assert riemann_roch_space(c, d).basis == basis, str(d)
+        assert riemann_roch_space(HyperellipticCurve(roots), d).basis == basis, str(d)
+        assert all(na < width for na in widths)
+    assert all(len(table[0]) == width for table in c._taylor_cache.values())
+
+
+def test_point_memos_stay_under_the_cap(monkeypatch):
+    # y^2 = x(x+5)(x+1)(x-2)(x-4) has the rational points below with
+    # x = 1/4 among them; more of them than the cap pass through h0 and
+    # riemann_roch_space, and every answer is the uncapped one.
+    roots = (-5, -1, 0, 2, 4)
+    xs = (-4, -2, 1, Fraction(1, 4), 5, 9)
+    fresh = HyperellipticCurve(roots)
+    points = []
+    for x in map(Fraction, xs):
+        v = fresh.f.evaluate(x)
+        y = Fraction(math.isqrt(v.numerator), math.isqrt(v.denominator))
+        points += [fresh.point(x, y), fresh.point(x, -y)]
+    w = fresh.weierstrass_points
+    divisors = [
+        Divisor(((p, 2), (q, -1), (w[i % 5], 1), (INFINITY, i % 4)))
+        for i, (p, q) in enumerate(zip(points, points[3:] + points[:3]))
+    ]
+    expected = [(h0(fresh, d), riemann_roch_space(fresh, d).basis) for d in divisors]
+
+    cap = 5
+    monkeypatch.setattr(curves, "POINT_MEMO_CAP", cap)
+    c = HyperellipticCurve(roots)
+    sizes = []
+    for d, (dim, basis) in zip(divisors, expected):
+        assert h0(c, d) == dim, str(d)
+        assert riemann_roch_space(c, d).basis == basis, str(d)
+        sizes.append((len(c._taylor_cache), len(c._branch_cache), len(c._on_curve)))
+    assert len(points) > cap
+    assert max(map(max, sizes)) == cap
+    assert max(len(fresh._taylor_cache), len(fresh._branch_cache)) > cap
