@@ -11,6 +11,7 @@ combinations of rational points.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,10 +112,6 @@ class Divisor:
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
-
-    @classmethod
-    def zero(cls) -> "Divisor":
-        return cls()
 
     @classmethod
     def of_point(cls, point: CurvePoint, mult: int = 1) -> "Divisor":
@@ -225,7 +222,7 @@ class HyperellipticCurve:
         self._h0_cache: dict[tuple, int] = {}
         self._branch_cache: dict[CurvePoint, object] = {}
         self._taylor_cache: dict[int | CurvePoint, list[list[int]]] = {}
-        self._on_curve: set[CurvePoint] = set()
+        self._on_curve: dict[CurvePoint, bool] = {}
 
     # -- model ------------------------------------------------------------
 
@@ -255,16 +252,13 @@ class HyperellipticCurve:
         return p
 
     def contains(self, point: CurvePoint) -> bool:
-        """y^2 = f(x) exactly.  Points that pass are remembered, up to
-        POINT_MEMO_CAP of them (the set is cleared when full); a point that
-        fails is evaluated again on every call."""
+        """y^2 = f(x) exactly.  Points that pass are remembered through
+        `memo_put`; a point that fails is evaluated again on every call."""
         if point.is_infinity or point in self._on_curve:
             return True
         if point.y * point.y != self._f.evaluate(point.x):
             return False
-        if len(self._on_curve) >= POINT_MEMO_CAP:
-            self._on_curve.clear()
-        self._on_curve.add(point)
+        memo_put(self._on_curve, point, True)
         return True
 
     @property
@@ -283,12 +277,9 @@ class HyperellipticCurve:
 
     def label_index(self, label: Union[int, str]) -> int:
         if isinstance(label, str):
-            if not label.startswith("w"):
+            if not re.fullmatch(r"w[1-9][0-9]*", label):
                 raise ValueError(f"bad Weierstrass label {label!r}")
-            try:
-                idx = int(label[1:])
-            except ValueError:
-                raise ValueError(f"bad Weierstrass label {label!r}") from None
+            idx = int(label[1:])
         elif isinstance(label, int) and not isinstance(label, bool):
             idx = label
         else:
@@ -316,11 +307,25 @@ class HyperellipticCurve:
         """The degree-2 pencil: 2 times the point at infinity."""
         return Divisor.of_point(INFINITY, 2)
 
-    def validate_divisor(self, divisor: Divisor) -> None:
-        for p, _ in divisor:
-            # the Weierstrass points are on the curve by construction
-            if p not in self._label_of_point and not self.contains(p):
+    def validate_divisor(
+        self, divisor: Divisor
+    ) -> tuple[list[tuple[int, int]], list[tuple[CurvePoint, int]], int]:
+        """D split into (label index, n) pairs at the affine Weierstrass
+        points, (point, n) terms at the ordinary points, both in divisor
+        order, and the coefficient of oo.  Each point is checked once: a
+        Weierstrass point by its label, any other by `contains`."""
+        ramification, ordinary, n_inf = [], [], 0
+        for p, n in divisor:
+            idx = self._label_of_point.get(p)
+            if p.is_infinity:
+                n_inf = n
+            elif idx is not None:
+                ramification.append((idx, n))
+            elif self.contains(p):
+                ordinary.append((p, n))
+            else:
                 raise ValueError(f"point {p} is not on the curve")
+        return ramification, ordinary, n_inf
 
     # -- identity ------------------------------------------------------------
 

@@ -117,25 +117,17 @@ def _fibre_pair(curve: HyperellipticCurve, point: CurvePoint, n: int) -> tuple[P
 def mumford_of_divisor(curve: HyperellipticCurve, divisor: Divisor) -> MumfordClass:
     """The class of (D - deg(D) * oo), from one semi-reduced pair.
 
-    Every point is checked on the curve first.  Then 2w ~ 2oo reduces each
-    ramification coefficient mod 2, and P + conj(P) ~ 2oo folds each x-fibre
-    of ordinary points into one net multiplicity n, on P if n > 0 and on
-    conj(P) otherwise.  The ordinary fibres compose by CRT into one pair,
-    starting from the first fibre's own pair; one `cantor_add` with the
-    ramification pair (prod (x - r), 0) is the last CRT step and the one
-    reduction.
+    `curve.validate_divisor` checks every point and splits D.  Then
+    2w ~ 2oo reduces each ramification coefficient mod 2, and
+    P + conj(P) ~ 2oo folds each x-fibre of the ordinary terms into one net
+    multiplicity n, on P if n > 0 and on conj(P) otherwise.  The ordinary
+    fibres compose by CRT into one pair, starting from the first fibre's own
+    pair; one `cantor_add` with the ramification pair (prod (x - r), 0) over
+    the odd roots is the last CRT step and the one reduction.
     """
-    odd_roots = []
+    ramification, ordinary, _ = curve.validate_divisor(divisor)
     fibres: dict[Fraction, tuple[Fraction, int]] = {}  # x -> (|y|, net multiplicity on (x, |y|))
-    for point, mult in divisor:
-        if point.is_infinity:
-            continue
-        if not curve.contains(point):
-            raise ValueError(f"point {point} is not on the curve")
-        if not point.y:
-            if mult % 2:
-                odd_roots.append(point.x)
-            continue
+    for point, mult in ordinary:
         y, net = fibres.get(point.x, (abs(point.y), 0))
         fibres[point.x] = (y, net + (mult if point.y > 0 else -mult))
     pairs = [
@@ -146,6 +138,7 @@ def mumford_of_divisor(curve: HyperellipticCurve, divisor: Divisor) -> MumfordCl
     u, v = pairs[0] if pairs else (ONE, Poly())
     for pair in pairs[1:]:
         u, v = _compose(curve, u, v, *pair)
+    odd_roots = [curve.roots[i - 1] for i, n in ramification if n % 2]
     ramified = MumfordClass(Poly.from_roots(odd_roots), Poly())
     return cantor_add(curve, ramified, MumfordClass(u, v))
 
@@ -265,10 +258,15 @@ def two_torsion_from_subset(
     curve: HyperellipticCurve, labels: Iterable[Union[int, str]]
 ) -> TwoTorsionClass:
     """The 2-torsion class of an even set of ramification-point labels."""
-    subset = frozenset(curve.label_index(l) for l in labels)
+    subset: set[int] = set()
+    for label in labels:
+        idx = curve.label_index(label)
+        if idx in subset:
+            raise ValueError(f"repeated Weierstrass label {label!r}")
+        subset.add(idx)
     if len(subset) % 2 != 0:
         raise ValueError("2-torsion subsets must have even cardinality")
-    return TwoTorsionClass(curve, _canonical_subset(curve, subset))
+    return TwoTorsionClass(curve, _canonical_subset(curve, frozenset(subset)))
 
 
 def enumerate_two_torsion(curve: HyperellipticCurve) -> list[TwoTorsionClass]:

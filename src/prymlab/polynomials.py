@@ -45,12 +45,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def monomial(cls, degree: int, c: Coefficient = 1) -> "Poly":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (as_fraction(c),))
-
-    @classmethod
     def from_roots(cls, roots: Sequence[Coefficient]) -> "Poly":
         """The monic polynomial prod (x - r) over the given roots."""
         out = cls((1,))
@@ -78,11 +72,6 @@ class Poly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coefficient(self, degree: int) -> Fraction:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return Fraction(0)
 
     # -- ring operations ----------------------------------------------
 

@@ -55,12 +55,17 @@ class PrymReport:
     k: int
     cliff_eta: int | None
     cliff_dim: tuple[int, int] | None
-    witness: Divisor | None
     witnesses: tuple[Divisor, ...]
     mode: str
     pool_description: str
     iota_cliff: int | None
     probes: GeometryProbes | None = None
+
+    @property
+    def witness(self) -> Divisor | None:
+        """The first witness (minimal degree, then enumeration order), or
+        None when no bundle contributes."""
+        return self.witnesses[0] if self.witnesses else None
 
 
 def contributes(curve: HyperellipticCurve, eta: TwoTorsionClass, d: Divisor) -> bool:
@@ -124,7 +129,6 @@ def closed_form_report(
         k=k,
         cliff_eta=value,
         cliff_dim=(0, 0),
-        witness=witness,
         witnesses=(witness,),
         mode="closed_form",
         pool_description="weierstrass",
@@ -200,7 +204,6 @@ def search_report(
             k=eta.k,
             cliff_eta=None,
             cliff_dim=None,
-            witness=None,
             witnesses=(),
             mode="search",
             pool_description=pool_description,
@@ -211,8 +214,7 @@ def search_report(
     value, pair = best_key
     _bounds_check(g, value, exact)
     witnesses = tuple(Divisor.of_points(combo) for combo in best_combos)
-    witness = witnesses[0]  # minimal degree, then lexicographic order
-    if clifford_of_divisor(curve, eta, witness) != value:
+    if clifford_of_divisor(curve, eta, witnesses[0]) != value:
         raise ArithmeticError("witness re-certification failed: engine bug")
     return PrymReport(
         genus=g,
@@ -220,7 +222,6 @@ def search_report(
         k=eta.k,
         cliff_eta=value,
         cliff_dim=pair,
-        witness=witness,
         witnesses=witnesses,
         mode="search",
         pool_description=pool_description,

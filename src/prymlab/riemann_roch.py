@@ -46,8 +46,11 @@ Equal keys therefore mean equivalent divisors of equal degree.  On a miss
 the kernel engine ranks condition rows built straight from the key, for the
 class member with coefficient 1 at each point of the mask, the key's
 ordinary terms, and oo taking the rest of the degree; no representative
-`Divisor` is built.  `riemann_roch_space` splits its divisor into the same
-three parts and shares the one condition-matrix builder.
+`Divisor` is built.  `HyperellipticCurve.validate_divisor` is the one split
+of a divisor into those three parts, checking each point on the curve
+once: `class_key` reads the mask off it, `riemann_roch_space` hands it to
+the one condition-matrix builder, and `jacobian.mumford_of_divisor` reads
+its Mumford pair off it.
 """
 
 from __future__ import annotations
@@ -94,10 +97,6 @@ class CurveFunction:
             inv = 1 / scale
             a, b = a.scale(inv), b.scale(inv)
         return cls(a, b, den)
-
-    @classmethod
-    def zero(cls) -> "CurveFunction":
-        return cls(Poly(), Poly(), ONE)
 
     @property
     def is_zero(self) -> bool:
@@ -227,12 +226,14 @@ def _space_matrix(
     b-monomials, and integer condition rows for L(D), where
     D = sum n_i w_i + sum n_p p + n_inf oo is given as (label index i, n_i)
     pairs with 1 <= i <= 2g+1, each label at most once, and ordinary
-    (point, n_p) terms.  Every Taylor part of a row is a prefix of a
-    `_taylor_table` row, the plain Taylor condition times a power of x0's
-    denominator; an ordinary-point row's b-part combines those rows with the
-    branch coefficients, and the rows of a place are then scaled to integers
-    by the lcm of its branch denominators.  Neither that scaling nor the row
-    order changes the rank or the reduced echelon form."""
+    (point, n_p) terms: the split of `HyperellipticCurve.validate_divisor`,
+    or the class member `class_h0` reads off a key.  Every Taylor part of a
+    row is a prefix of a `_taylor_table` row, the plain Taylor condition
+    times a power of x0's denominator; an ordinary-point row's b-part
+    combines those rows with the branch coefficients, and the rows of a
+    place are then scaled to integers by the lcm of its branch denominators.
+    Neither that scaling nor the row order changes the rank or the reduced
+    echelon form."""
     roots = curve.roots
 
     # Denominator from the positive affine part: (x - x_p)^{n_p} at ordinary
@@ -285,17 +286,7 @@ def riemann_roch_space(curve: HyperellipticCurve, divisor: Divisor) -> RRSpace:
 
     The empty space has dimension 0; no error cases.
     """
-    curve.validate_divisor(divisor)
-    ramification, ordinary, n_inf = [], [], 0
-    for p, n in divisor:
-        idx = curve.weierstrass_index(p)
-        if p.is_infinity:
-            n_inf = n
-        elif idx is None:
-            ordinary.append((p, n))
-        else:
-            ramification.append((idx, n))
-    den_factors, na, nb, rows = _space_matrix(curve, ramification, ordinary, n_inf)
+    den_factors, na, nb, rows = _space_matrix(curve, *curve.validate_divisor(divisor))
     if na + nb == 0:
         return RRSpace(divisor, ())
     den = ONE
@@ -321,31 +312,10 @@ def _fold(curve: HyperellipticCurve, mask: int) -> int:
     return mask ^ ((1 << (2 * g + 1)) - 1) if mask.bit_count() > g else mask
 
 
-def _mask_bit(curve: HyperellipticCurve, point: CurvePoint) -> int | None:
-    """The point's bit in the odd mask (0 for oo), None for an ordinary point.
-
-    Rejects a y = 0 point that is not one of the curve's Weierstrass points,
-    so a warm memo never lets it through; ordinary points are checked on the
-    miss that stores their key, since they stay in the key as they are.
-    """
-    if point.y:
-        return None
-    idx = curve.weierstrass_index(point)
-    if idx is None:
-        raise ValueError(f"point {point} is not on the curve")
-    return 1 << (idx - 1) if idx <= 2 * curve.genus + 1 else 0
-
-
 def class_key(curve: HyperellipticCurve, divisor: Divisor) -> ClassKey:
-    """The memo key of D's class."""
-    mask = 0
-    ordinary = []
-    for p, n in divisor:
-        bit = _mask_bit(curve, p)
-        if bit is None:
-            ordinary.append((p, n))
-        elif n % 2:
-            mask ^= bit
+    """The memo key of D's class; every point of D is checked on the curve."""
+    ramification, ordinary, _ = curve.validate_divisor(divisor)
+    mask = sum(1 << (i - 1) for i, n in ramification if n % 2)
     return _fold(curve, mask), tuple(ordinary), divisor.degree
 
 
@@ -353,8 +323,11 @@ def point_classes(
     curve: HyperellipticCurve, points: Sequence[CurvePoint], degree: int
 ) -> Iterator[tuple[tuple[CurvePoint, ...], ClassKey]]:
     """(combo, class key) for each combination with replacement of `degree`
-    of the points, in `itertools.combinations_with_replacement` order."""
-    bits = [_mask_bit(curve, p) for p in points]
+    of the points, in `itertools.combinations_with_replacement` order.  The
+    points are on the curve (a checked pool or the Weierstrass points)."""
+    affine = (1 << (2 * curve.genus + 1)) - 1  # oo has no bit
+    indices = [curve.weierstrass_index(p) for p in points]
+    bits = [None if i is None else (1 << (i - 1)) & affine for i in indices]
     combos = itertools.combinations_with_replacement(points, degree)
     for combo, combo_bits in zip(combos, itertools.combinations_with_replacement(bits, degree)):
         mask = 0

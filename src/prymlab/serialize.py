@@ -134,12 +134,6 @@ def eta_to_dict(eta: TwoTorsionClass) -> dict:
     }
 
 
-def eta_from_dict(data: dict, curve: HyperellipticCurve) -> TwoTorsionClass:
-    if "subset" not in data:
-        raise ValueError("eta JSON needs a 'subset' list")
-    return two_torsion_from_subset(curve, data["subset"])
-
-
 def eta_from_labels(curve: HyperellipticCurve, labels: Iterable[str] | str) -> TwoTorsionClass:
     """Accepts 'w1,w2' or an iterable of labels."""
     if isinstance(labels, str):

@@ -54,13 +54,6 @@ class TruncatedSeries:
             self.center, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n))
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_center(other)
-        n = min(self.precision, other.precision)
-        return TruncatedSeries(
-            self.center, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n))
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_center(other)
         n = min(self.precision, other.precision)

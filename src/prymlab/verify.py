@@ -26,7 +26,6 @@ from .jacobian import (
     TwoTorsionClass,
     _canonical_subset,
     cantor_add,
-    cantor_identity,
     enumerate_two_torsion,
     mumford_of_divisor,
     subset_divisor,

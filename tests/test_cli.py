@@ -76,10 +76,28 @@ def test_cliff_rejects_trivial_eta(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "curve", "new", "--roots", "1,2,3,4,5")
     curve_file = tmp_path / "curve.json"
     curve_file.write_text(out)
-    # repeated labels collapse as a set, making the class trivial
     code, _, err = run_cli(capsys, "cliff", "--curve", str(curve_file), "--eta", "")
     assert code == 2
     assert "trivial" in err
+
+
+@pytest.mark.parametrize(
+    "eta, message",
+    [
+        ("w1,w1,w2,w2", "repeated Weierstrass label 'w1'"),
+        ("w1,w2,w2,w3", "repeated Weierstrass label 'w2'"),
+        ("w01,w2", "bad Weierstrass label 'w01'"),
+        ("w1_0,w2", "bad Weierstrass label 'w1_0'"),
+    ],
+)
+def test_cliff_rejects_repeated_and_non_canonical_labels(tmp_path, capsys, eta, message):
+    code, out, _ = run_cli(capsys, "curve", "new", "--roots", "1,2,3,4,5,6,7,8,9,10,11")
+    curve_file = tmp_path / "curve5.json"
+    curve_file.write_text(out)
+    code, out, err = run_cli(capsys, "cliff", "--curve", str(curve_file), "--eta", eta)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_scroll_subcommand(tmp_path, capsys):

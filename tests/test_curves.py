@@ -114,6 +114,25 @@ def test_curve_identity_and_label_errors():
         c.weierstrass_point("x1")
 
 
+@pytest.mark.parametrize("label", ["w01", "w+4", "w 3", "w\u0663", "w1_0", "w0", "w", "W1", " w1", "w1\n"])
+def test_label_index_accepts_only_canonical_labels(label):
+    c = standard_curve(5)  # w1..w12: every misread above would be in range
+    with pytest.raises(ValueError, match="bad Weierstrass label"):
+        c.label_index(label)
+    assert [c.label_index(f"w{i}") for i in (1, 9, 10, 12)] == [1, 9, 10, 12]
+
+
+def test_validate_divisor_splits_a_mixed_divisor():
+    c, marked = curve_with_marked_point(3)
+    w1, w3 = c.weierstrass_point("w1"), c.weierstrass_point("w3")
+    d = Divisor(((w1, -3), (w3, 2), (marked, 1), (marked.conjugate(), 2), (INFINITY, 4)))
+    ramification, ordinary, n_inf = c.validate_divisor(d)
+    assert ramification == [(1, -3), (3, 2)]
+    assert ordinary == [(marked.conjugate(), 2), (marked, 1)]  # divisor order: y ascending
+    assert n_inf == 4
+    assert c.validate_divisor(Divisor()) == ([], [], 0)
+
+
 def test_fractional_roots_accepted():
     c = HyperellipticCurve(["1/2", 1, 2, 3, 4])
     assert c.roots[0] == Fraction(1, 2)
@@ -138,4 +157,4 @@ def test_equal_points_and_divisors_hash_equal():
     assert hash(d1) == hash(d2) == hash(d3) == hash(d1.terms)
     assert hash(Divisor(d1)) == hash(d1)
     assert {d1: "x"}[d3] == "x"
-    assert hash(Divisor()) == hash(Divisor.zero()) == hash(())
+    assert hash(Divisor()) == hash(Divisor(())) == hash(())

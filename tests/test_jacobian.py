@@ -159,6 +159,20 @@ def test_odd_cardinality_rejected():
         two_torsion_from_subset(standard_curve(2), ["w1"])
 
 
+@pytest.mark.parametrize(
+    "labels, repeated",
+    [
+        (["w1", "w1", "w2", "w2"], "'w1'"),
+        (["w1", "w2", "w3", "w1", "w4", "w1"], "'w1'"),
+        (["w1", "w2", "w2", "w3"], "'w2'"),
+        (["w3", 3], "3"),
+    ],
+)
+def test_repeated_labels_rejected_by_name(labels, repeated):
+    with pytest.raises(ValueError, match=f"repeated Weierstrass label {repeated}$"):
+        two_torsion_from_subset(standard_curve(4), labels)
+
+
 def test_large_subset_stored_as_complement():
     c = standard_curve(3)
     eta = two_torsion_from_subset(c, ["w1", "w2", "w3", "w4", "w5", "w6"])

@@ -18,6 +18,7 @@ from prymlab import (
     enumerate_two_torsion,
     h0,
     is_linearly_equivalent,
+    mumford_of_divisor,
     riemann_roch,
     riemann_roch_space,
     standard_curve,
@@ -70,7 +71,7 @@ def test_valuation_cancellation_at_ordinary_point():
 
 def test_valuation_rejects_zero_function():
     with pytest.raises(ValueError):
-        valuation(standard_curve(2), CurveFunction.zero(), INFINITY)
+        valuation(standard_curve(2), CurveFunction.make(Poly(), Poly(), Poly((1,))), INFINITY)
 
 
 def test_pencil_space_basis():
@@ -251,7 +252,7 @@ def test_h0_depends_only_on_class_representative():
 
 def test_rr_space_of_empty_divisor():
     c = standard_curve(2)
-    space = riemann_roch_space(c, Divisor.zero())
+    space = riemann_roch_space(c, Divisor())
     assert space.dimension == 1
     assert str(space.basis[0]) == "1"
 
@@ -261,6 +262,29 @@ def test_rr_space_rejects_points_off_curve():
     fake = CurvePoint.affine(1, 7)
     with pytest.raises(ValueError):
         riemann_roch_space(c, Divisor.of_point(fake))
+
+
+@pytest.mark.parametrize("bad", [(Fraction(1, 3), 5), (10, 0)], ids=["ordinary", "on-x-axis"])
+@pytest.mark.parametrize(
+    "entry", ["h0-cold", "h0-warm", "riemann_roch_space", "mumford_of_divisor", "is_linearly_equivalent"]
+)
+def test_off_curve_points_rejected_everywhere(bad, entry):
+    marked_curve, marked = curve_with_marked_point(3)
+    c = HyperellipticCurve(marked_curve.roots)  # a fresh, empty memo
+    rest = Divisor(((c.weierstrass_point("w1"), 1), (marked, 2), (INFINITY, -1)))
+    d = rest + Divisor.of_point(CurvePoint.affine(*bad))
+    if entry == "h0-warm":
+        h0(c, rest)
+        assert c._h0_cache
+    call = {
+        "h0-cold": lambda: h0(c, d),
+        "h0-warm": lambda: h0(c, d),
+        "riemann_roch_space": lambda: riemann_roch_space(c, d),
+        "mumford_of_divisor": lambda: mumford_of_divisor(c, d),
+        "is_linearly_equivalent": lambda: is_linearly_equivalent(c, d, rest + Divisor.of_point(INFINITY)),
+    }[entry]
+    with pytest.raises(ValueError, match="not on the curve"):
+        call()
 
 
 def test_memo_cache_is_pure():
