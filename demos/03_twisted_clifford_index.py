@@ -36,8 +36,10 @@ agreements = 0
 for e in enumerate_two_torsion(curve):
     searched = search_report(curve, e)
     closed = closed_form_report(curve, e)
-    assert searched.cliff_eta == closed.cliff_eta == e.k - 1
-    assert searched.cliff_dim == (0, 0)
+    if not searched.cliff_eta == closed.cliff_eta == e.k - 1:
+        raise SystemExit(f"{e}: search {searched.cliff_eta}, closed form {closed.cliff_eta}, k-1 = {e.k - 1}")
+    if searched.cliff_dim != (0, 0):
+        raise SystemExit(f"{e}: dimension pair {searched.cliff_dim}, expected (0, 0)")
     agreements += 1
 print(f"  search == closed form == k-1 with dimension pair (0,0): {agreements} classes")
 

@@ -63,7 +63,7 @@ from .scroll import (
     scroll_report,
     scroll_type,
 )
-from .series import BranchUndefinedError, TruncatedSeries, series_sqrt_branch
+from .series import BranchUndefinedError, series_sqrt_branch
 from .verify import VerificationCheck, VerificationSuite, run_suite
 
 __version__ = "0.1.0"
@@ -84,7 +84,6 @@ __all__ = [
     "RRSpace",
     "ScrollMismatchError",
     "ScrollReport",
-    "TruncatedSeries",
     "TwoTorsionClass",
     "VerificationCheck",
     "VerificationSuite",

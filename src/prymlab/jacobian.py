@@ -109,7 +109,7 @@ def _fibre_pair(curve: HyperellipticCurve, point: CurvePoint, n: int) -> tuple[P
     and v the branch of y through P to order n, so u | v^2 - f."""
     x = Poly((-point.x, 1))
     v = Poly()
-    for c in reversed(_branch(curve, point, n).coeffs):
+    for c in reversed(_branch(curve, point, n)):
         v = v * x + Poly((c,))
     return x**n, v
 

@@ -69,7 +69,9 @@ class PrymReport:
 
 
 def contributes(curve: HyperellipticCurve, eta: TwoTorsionClass, d: Divisor) -> bool:
-    """deg <= g-1 with sections on both sides of the twist."""
+    """deg <= g-1 with sections on both sides of the twist.  Every point of
+    d is checked on the curve, whatever its degree."""
+    curve.validate_divisor(d)
     if d.degree > curve.genus - 1:
         return False
     if h0(curve, d) < 1:

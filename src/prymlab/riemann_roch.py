@@ -23,7 +23,8 @@ row scaling changes neither the rank nor the reduced echelon form.  The
 Taylor rows come from a table per curve and place, keyed by the label
 index of a ramification point or by an ordinary point.  A table of width
 N serves any request of width n <= N by row prefixes: a prefix is the
-width-n row times q^(N-n), again a row scaling.  The Taylor tables and the
+width-n row times q^(N-n), again a row scaling.  The branch expansions are
+coefficient tuples, likewise read by prefix.  The Taylor tables and the
 branch expansions are pure memos of at most `curves.POINT_MEMO_CAP`
 entries each per curve, cleared when full.
 
@@ -64,7 +65,7 @@ from typing import Iterator, Sequence
 from .curves import CurvePoint, Divisor, HyperellipticCurve, memo_put
 from .linalg import kernel_basis, matrix_rank
 from .polynomials import ONE, Poly, poly_gcd
-from .series import TruncatedSeries, series_sqrt_branch
+from .series import series_sqrt_branch
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,14 @@ class RRSpace:
 # valuations
 
 
-def _branch(curve: HyperellipticCurve, point: CurvePoint, precision: int) -> TruncatedSeries:
-    """Cached sqrt branch of the curve through a non-ramification point."""
+def _branch(curve: HyperellipticCurve, point: CurvePoint, precision: int) -> tuple[Fraction, ...]:
+    """The first `precision` coefficients of the curve's sqrt branch through
+    a non-ramification point, read off the longest expansion cached so far."""
     cached = curve._branch_cache.get(point)
-    if cached is None or cached.precision < precision:
+    if cached is None or len(cached) < precision:
         cached = series_sqrt_branch(curve.f, point.x, point.y, precision)
         memo_put(curve._branch_cache, point, cached)
-    return cached.truncate(precision) if cached.precision > precision else cached
+    return cached[:precision]
 
 
 def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -> int:
@@ -149,9 +151,12 @@ def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -
 
     At infinity and at ramification points the x-part and y-part of the
     numerator have valuations of opposite parity, so the order is a plain
-    minimum.  At an ordinary point the order is certified by expanding the
-    branch one term past the vanishing order of the norm a^2 - b^2 f, which
-    bounds it.
+    minimum.  At an ordinary point the order is the first l with
+    ta_l + sum_{s<=l} tb_{l-s} y_s != 0, where ta, tb are the Taylor
+    coefficients of a and b at x0 (`Poly.taylor_at`) and y_s those of the
+    branch through p; the vanishing order of the norm a^2 - b^2 f bounds it,
+    so l is searched only up to that order.  The condition rows of
+    `_space_matrix` are not used, so this checks the bases built from them.
     """
     if fn.is_zero:
         raise ValueError("the zero function has no valuation")
@@ -179,14 +184,14 @@ def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -
         return min(vals) - 2 * den.multiplicity_at(x0)
 
     norm = a * a - b * b * curve.f
-    bound = norm.multiplicity_at(x0)  # ord_p(a + b*y) <= this, always finite
-    prec = bound + 1
-    branch = _branch(curve, point, prec)
-    num = TruncatedSeries.from_poly(a, x0, prec) + TruncatedSeries.from_poly(b, x0, prec) * branch
-    order = num.order()
-    if order is None:  # cannot happen: the norm bound caps the order
-        raise ArithmeticError("series order not certified within the norm bound")
-    return order - den.multiplicity_at(x0)
+    prec = norm.multiplicity_at(x0) + 1  # ord_p(a + b*y) < prec, always finite
+    y = _branch(curve, point, prec)
+    ta, tb = a.taylor_at(x0, prec), b.taylor_at(x0, prec)
+    for l in range(prec):
+        if ta[l] + sum(tb[l - s] * y[s] for s in range(l + 1)):
+            return l - den.multiplicity_at(x0)
+    # cannot happen: the norm bound caps the order
+    raise ArithmeticError("series order not certified within the norm bound")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,7 @@ def _space_matrix(
         # then scaled by the lcm of those coefficients' denominators.
         taylor = _taylor_table(curve, place, place.x, na, t)
         q = place.x.denominator
-        branch = [c / q**s for s, c in enumerate(_branch(curve, place, t).coeffs)]
+        branch = [c / q**s for s, c in enumerate(_branch(curve, place, t))]
         scale = lcm(*(c.denominator for c in branch))
         branch = [c.numerator * (scale // c.denominator) for c in branch]
         rows.extend(
@@ -381,7 +386,10 @@ def h0(curve: HyperellipticCurve, divisor: Divisor) -> int:
 
 
 def is_linearly_equivalent(curve: HyperellipticCurve, d1: Divisor, d2: Divisor) -> bool:
-    """D1 ~ D2 iff they have equal degree and h0(D1 - D2) = 1."""
+    """D1 ~ D2 iff they have equal degree and h0(D1 - D2) = 1.  Every point
+    of both is checked on the curve, also one that cancels in D1 - D2."""
+    curve.validate_divisor(d1)
+    curve.validate_divisor(d2)
     if d1.degree != d2.degree:
         return False
     return h0(curve, d1 - d2) == 1

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from prymlab import (
     INFINITY,
     CurvePoint,
@@ -29,6 +31,13 @@ def shifted_marked_curve() -> tuple[HyperellipticCurve, CurvePoint]:
     point = CurvePoint.affine(Fraction(1, 3), marked.y / 2**7)
     assert curve.contains(point)
     return curve, point
+
+
+def marked_curves(genera):
+    """`curve_with_marked_point(g)` for each genus, then the shifted marked
+    curve, whose ordinary point has x0 = 1/3, as (curve, point) params."""
+    params = [pytest.param(*curve_with_marked_point(g), id=f"genus{g}") for g in genera]
+    return params + [pytest.param(*shifted_marked_curve(), id="shifted-marked")]
 
 
 def mumford_point_by_point_oracle(curve: HyperellipticCurve, divisor: Divisor) -> MumfordClass:
@@ -152,7 +161,7 @@ def space_matrix_oracle(curve: HyperellipticCurve, divisor: Divisor):
             rows.extend([Fraction(0)] * na + row for row in taylor(x0, b_degrees, t // 2))
         else:
             # a(x) + b(x)*y(x) along the branch through q vanishes to order t
-            branch = series_sqrt_branch(curve.f, x0, q.y, t).coeffs
+            branch = series_sqrt_branch(curve.f, x0, q.y, t)
             a_rows = taylor(x0, a_degrees, t)
             b_rows = [
                 [sum(a_rows[l - s][j] * branch[s] for s in range(l + 1)) for j in range(nb)]

@@ -25,7 +25,12 @@ from prymlab import (
     two_torsion_from_subset,
     validate_mumford,
 )
-from support import mumford_point_by_point_oracle, random_weierstrass_divisor, shifted_marked_curve
+from support import (
+    marked_curves,
+    mumford_point_by_point_oracle,
+    random_weierstrass_divisor,
+    shifted_marked_curve,
+)
 
 
 def test_identity_and_inverse():
@@ -89,12 +94,7 @@ def test_mumford_of_divisor_matches_oracle():
             assert (m1 == m2) == is_linearly_equivalent(c, d1, d2)
 
 
-def _marked_curves():
-    yield from (pytest.param(*curve_with_marked_point(g), id=f"genus{g}") for g in (2, 3, 4, 5))
-    yield pytest.param(*shifted_marked_curve(), id="shifted-marked")
-
-
-@pytest.mark.parametrize("curve, marked", list(_marked_curves()))
+@pytest.mark.parametrize("curve, marked", marked_curves((2, 3, 4, 5)))
 def test_mumford_of_divisor_matches_point_by_point_oracle(curve, marked):
     # every sign pair of multiplicities up to 5, odd and even, on P and
     # conj(P), each with a seeded ramification part of coefficients -3..3

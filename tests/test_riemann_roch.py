@@ -13,6 +13,7 @@ from prymlab import (
     Divisor,
     HyperellipticCurve,
     Poly,
+    contributes,
     curve_with_marked_point,
     curves,
     enumerate_two_torsion,
@@ -21,12 +22,15 @@ from prymlab import (
     mumford_of_divisor,
     riemann_roch,
     riemann_roch_space,
+    series_sqrt_branch,
     standard_curve,
+    two_torsion_from_subset,
     valuation,
 )
 from prymlab.riemann_roch import class_h0, class_key, residual_key, twisted_key
 from support import (
     gauss_jordan_oracle,
+    marked_curves,
     random_weierstrass_divisor,
     shifted_marked_curve,
     space_matrix_oracle,
@@ -67,6 +71,39 @@ def test_valuation_cancellation_at_ordinary_point():
     assert v >= 1
     # the conjugate point sees no cancellation
     assert valuation(c, fn, marked.conjugate()) == 0
+
+
+@pytest.mark.parametrize("curve, marked", marked_curves((2, 3, 4)))
+def test_valuations_at_a_conjugate_pair_sum_to_the_norm_order(curve, marked):
+    # phi * conj(phi) = (a^2 - b^2 f) / den^2 is a function of x, so
+    # ord_P(phi) + ord_conj(P)(phi) = mult_x0(a^2 - b^2 f) - 2 mult_x0(den).
+    # Random numerators are built to cancel the branch through P or conj(P)
+    # to order k, so the orders reach past the first series term.
+    rng = random.Random(f"valuation:{curve.genus}:{marked.x}")
+    x0 = marked.x
+    t = Poly((-x0, 1))
+    branch = series_sqrt_branch(curve.f, x0, marked.y, 6)
+
+    def rand_poly(max_degree):
+        n = rng.randint(0, max_degree + 1)  # 0 gives the zero polynomial
+        return Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
+
+    checked = 0
+    for _ in range(150):
+        k = rng.randint(0, 5)
+        sign = rng.choice((1, -1))  # cancel along P or along conj(P)
+        ybar = sum((Poly((c,)) * t**s for s, c in enumerate(branch[:k])), Poly())
+        b = rand_poly(2)
+        a = Poly((-sign,)) * b * ybar + t**k * rand_poly(2)
+        den = t ** rng.randint(0, 3) * Poly((rng.randint(-5, 5), 1)) ** rng.randint(0, 1)
+        if a.is_zero and b.is_zero:
+            continue
+        fn = CurveFunction.make(a, b, den)
+        norm = fn.a * fn.a - fn.b * fn.b * curve.f
+        expected = norm.multiplicity_at(x0) - 2 * fn.den.multiplicity_at(x0)
+        assert valuation(curve, fn, marked) + valuation(curve, fn, marked.conjugate()) == expected, fn
+        checked += 1
+    assert checked > 100
 
 
 def test_valuation_rejects_zero_function():
@@ -266,13 +303,24 @@ def test_rr_space_rejects_points_off_curve():
 
 @pytest.mark.parametrize("bad", [(Fraction(1, 3), 5), (10, 0)], ids=["ordinary", "on-x-axis"])
 @pytest.mark.parametrize(
-    "entry", ["h0-cold", "h0-warm", "riemann_roch_space", "mumford_of_divisor", "is_linearly_equivalent"]
+    "entry",
+    [
+        "h0-cold",
+        "h0-warm",
+        "riemann_roch_space",
+        "mumford_of_divisor",
+        "is_linearly_equivalent",
+        "is_linearly_equivalent-cancelling",
+        "is_linearly_equivalent-unequal-degrees",
+        "contributes-above-g-1",
+    ],
 )
 def test_off_curve_points_rejected_everywhere(bad, entry):
     marked_curve, marked = curve_with_marked_point(3)
     c = HyperellipticCurve(marked_curve.roots)  # a fresh, empty memo
     rest = Divisor(((c.weierstrass_point("w1"), 1), (marked, 2), (INFINITY, -1)))
-    d = rest + Divisor.of_point(CurvePoint.affine(*bad))
+    p = Divisor.of_point(CurvePoint.affine(*bad))
+    d = rest + p
     if entry == "h0-warm":
         h0(c, rest)
         assert c._h0_cache
@@ -282,6 +330,11 @@ def test_off_curve_points_rejected_everywhere(bad, entry):
         "riemann_roch_space": lambda: riemann_roch_space(c, d),
         "mumford_of_divisor": lambda: mumford_of_divisor(c, d),
         "is_linearly_equivalent": lambda: is_linearly_equivalent(c, d, rest + Divisor.of_point(INFINITY)),
+        # the point cancels in d - d, or the degrees differ, before any h0
+        "is_linearly_equivalent-cancelling": lambda: is_linearly_equivalent(c, d, d),
+        "is_linearly_equivalent-unequal-degrees": lambda: is_linearly_equivalent(c, p, Divisor()),
+        # degree 3 > g - 1 = 2: no h0 is needed to answer
+        "contributes-above-g-1": lambda: contributes(c, two_torsion_from_subset(c, ["w1", "w2"]), 3 * p),
     }[entry]
     with pytest.raises(ValueError, match="not on the curve"):
         call()
