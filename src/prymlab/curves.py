@@ -220,7 +220,7 @@ class HyperellipticCurve:
         )
         self._label_of_point = {p: i + 1 for i, p in enumerate(self._weierstrass)}
         self._h0_cache: dict[tuple, int] = {}
-        self._branch_cache: dict[CurvePoint, tuple[Fraction, ...]] = {}
+        self._branch_cache: dict[CurvePoint, tuple[Fraction, ...]] = {}  # keyed by the point with y > 0
         self._taylor_cache: dict[int | CurvePoint, list[list[int]]] = {}
         self._on_curve: dict[CurvePoint, bool] = {}
 

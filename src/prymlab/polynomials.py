@@ -1,29 +1,124 @@
 """Dense univariate polynomial arithmetic over the rationals.
 
-Everything in this package is computed over Q with `fractions.Fraction`
-coefficients, so results are exact and there is never a tolerance to tune.
-Polynomials are stored densely, coefficient index = monomial degree, with
+Everything in this package is exact over Q, so there is never a tolerance
+to tune.  A polynomial stores its coefficients as a tuple of
+`fractions.Fraction`s, densely, coefficient index = monomial degree, with
 trailing zeros stripped; the zero polynomial has an empty coefficient tuple
 and degree -1.
+
+The ring kernels (add, subtract, multiply, divide, evaluate and expand at a
+point) do not loop over `Fraction`s.  Each operand is written once as
+integer numerators over one common denominator, the lcm of its
+coefficients' denominators; the loop runs on Python ints, and each output
+coefficient becomes one reduced `Fraction` at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Coefficient = Union[Fraction, int, str]
 
 
 def as_fraction(value: Coefficient) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions and ASCII 'p/q' or decimal strings to an
+    exact Fraction.  A string with a non-ASCII character or an underscore
+    is refused: `Fraction` would read an Arabic-Indic three as 3 and '1_0'
+    as 10."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not value.isascii() or "_" in value:
+            raise ValueError(f"not an exact rational: {value!r} (use ASCII digits, no '_')")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, den): the coefficients as integers over their lcm."""
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
+def _poly(nums: list[int], den: int) -> "Poly":
+    """The polynomial sum nums[i]/den x^i, one reduced Fraction per term."""
+    while nums and not nums[-1]:
+        nums.pop()
+    out = object.__new__(Poly)
+    if den == 1:
+        object.__setattr__(out, "coeffs", tuple(map(Fraction, nums)))
+    else:
+        object.__setattr__(out, "coeffs", tuple([Fraction(n, den) for n in nums]))
+    return out
+
+
+def _pseudo_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
+    """Integer pseudo-division of a by b, len(a) >= len(b).
+
+    With a = A/da and b = B/db over integer A, B, returns (Q, R, s, da, db)
+    such that s*A = Q*B + R and deg R < deg B.  Before each elimination step
+    the working remainder and quotient are multiplied by lead(B)/gcd(c,
+    lead(B)), c the coefficient to eliminate, so s divides lead(B)^e with
+    e = deg a - deg b + 1.  Then a = (Q db / (s da)) b + R / (s da)."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem, da = _ints(a)
+    dv, db = _ints(b)
+    dd = len(dv) - 1
+    lead = dv[-1]
+    low = dv[:dd]
+    quot = [0] * (len(rem) - dd)
+    s = 1
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        k = lead // gcd(c, lead)
+        if k != 1:
+            s *= k
+            rem[:i] = [r * k for r in rem[:i]]
+            top = i - dd + 1
+            quot[top:] = [x * k for x in quot[top:]]
+            c *= k
+        q = c // lead
+        base = i - dd
+        quot[base] = q
+        rem[base:i] = [r - q * d for r, d in zip(rem[base:i], low)]
+    del rem[dd:]
+    return quot, rem, s, da, db
+
+
+def _shift_ints(coeffs: Sequence[Fraction], x0: Fraction) -> tuple[list[int], int, int, int]:
+    """(m, p, q, den) with x0 = p/q and m[i] = n[i] q^(N-1-i), where the
+    coefficients are n[i]/den over integers and N = len(coeffs): so that
+    q^(N-1) den f(X/q) = sum m[i] X^i, and f's expansion at x0 is that of
+    sum m[i] X^i at X = p, coefficient l divided by den q^(N-1-l)."""
+    nums, den = _ints(coeffs)
+    p, q = x0.numerator, x0.denominator
+    if q != 1:
+        qpow = 1
+        for i in range(len(nums) - 1, -1, -1):
+            nums[i] *= qpow
+            qpow *= q
+    return nums, p, q, den
+
+
+def _synthetic_step(m: list[int], start: int, p: int) -> int:
+    """Divide sum_{i >= start} m[i] X^(i-start) by (X - p) in place: the
+    quotient's coefficients move to m[start+1:], and the remainder (the
+    value at p) is returned and left in m[start]."""
+    acc = 0
+    for i in range(len(m) - 1, start - 1, -1):
+        acc = acc * p + m[i]
+        m[i] = acc
+    return acc
 
 
 class Poly:
@@ -75,34 +170,43 @@ class Poly:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+    def _add(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the lcm of the two denominators."""
+        if not other.coeffs:
+            return self
+        a, da = _ints(self.coeffs)
+        b, db = _ints(other.coeffs)
+        den = lcm(da, db)
+        ka, kb = den // da, sign * (den // db)
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a += [0] * (len(b) - len(a))
+        out = [x * ka for x in a]
+        for i, y in enumerate(b):
+            out[i] += y * kb
+        return _poly(out, den)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._add(other, 1)
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._add(other, -1)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+        a, da = _ints(self.coeffs)
+        b, db = _ints(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        nb = len(b)
+        for i, x in enumerate(a):
+            if x:
+                out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
+        return _poly(out, da * db)
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
@@ -125,27 +229,17 @@ class Poly:
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Exact polynomial division: (quotient, remainder) with
-        deg remainder < deg divisor."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
+        deg remainder < deg divisor, by integer pseudo-division."""
         if self.degree < other.degree:
             return ZERO, self
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        inv_lead = 1 / dv[-1]
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                q = c * inv_lead
-                quot[i - dd] = q
-                for j in range(dd + 1):
-                    rem[i - dd + j] -= q * dv[j]
-        return Poly(quot), Poly(rem[:dd] if dd else ())
+        quot, rem, s, da, db = _pseudo_divmod(self.coeffs, other.coeffs)
+        return _poly([x * db for x in quot], s * da), _poly(rem, s * da)
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        if self.degree < other.degree:
+            return self
+        _, rem, s, da, _ = _pseudo_divmod(self.coeffs, other.coeffs)
+        return _poly(rem, s * da)
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Division known to be remainder-free; raises if it is not."""
@@ -157,52 +251,38 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
             return self
-        return self.scale(1 / self.coeffs[-1])
+        nums, _ = _ints(self.coeffs)
+        return _poly(nums, nums[-1])
 
     # -- evaluation and local expansion --------------------------------
 
     def evaluate(self, x0: Coefficient) -> Fraction:
-        x0 = as_fraction(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
-
-    def synthetic_division(self, x0: Fraction) -> tuple["Poly", Fraction]:
-        """Divide by (x - x0): (quotient, remainder value)."""
-        if not self.coeffs:
-            return ZERO, Fraction(0)
-        cs = self.coeffs
-        out = [Fraction(0)] * (len(cs) - 1)
-        acc = cs[-1]
-        for i in range(len(cs) - 2, -1, -1):
-            out[i] = acc
-            acc = cs[i] + x0 * acc
-        return Poly(out), acc
+        m, p, q, den = _shift_ints(self.coeffs, as_fraction(x0))
+        if not m:
+            return Fraction(0)
+        return Fraction(_synthetic_step(m, 0, p), den * q ** (len(m) - 1))
 
     def multiplicity_at(self, x0: Coefficient) -> int:
         """Vanishing order at x0 (0 if p(x0) != 0; raises on the zero poly)."""
         if self.is_zero:
             raise ValueError("the zero polynomial vanishes everywhere")
-        x0 = as_fraction(x0)
+        m, p, _, _ = _shift_ints(self.coeffs, as_fraction(x0))
         mult = 0
-        cur = self
-        while True:
-            quot, rem = cur.synthetic_division(x0)
-            if rem != 0:
-                return mult
+        while not _synthetic_step(m, mult, p):
             mult += 1
-            cur = quot
+        return mult
 
     def taylor_at(self, x0: Coefficient, nterms: int) -> list[Fraction]:
-        """First nterms coefficients of the expansion in powers of (x - x0)."""
-        x0 = as_fraction(x0)
-        out: list[Fraction] = []
-        cur = self
-        for _ in range(nterms):
-            cur, rem = cur.synthetic_division(x0)
-            out.append(rem)
-        return out
+        """First nterms coefficients of the expansion in powers of (x - x0):
+        coefficient l is sum_i n_i C(i, l) p^(i-l) q^(N-1-i) / (den q^(N-1-l))
+        for x0 = p/q, computed by integer synthetic division by (X - p)."""
+        m, p, q, den = _shift_ints(self.coeffs, as_fraction(x0))
+        n = len(m)
+        out = [
+            Fraction(_synthetic_step(m, l, p), den * q ** (n - 1 - l))
+            for l in range(min(nterms, n))
+        ]
+        return out + [Fraction(0)] * (nterms - len(out))
 
     # -- comparison / hashing / display --------------------------------
 

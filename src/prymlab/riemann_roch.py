@@ -138,12 +138,19 @@ class RRSpace:
 
 def _branch(curve: HyperellipticCurve, point: CurvePoint, precision: int) -> tuple[Fraction, ...]:
     """The first `precision` coefficients of the curve's sqrt branch through
-    a non-ramification point, read off the longest expansion cached so far."""
-    cached = curve._branch_cache.get(point)
+    a non-ramification point.  One expansion is cached per x-fibre, that of
+    the point with y > 0; the branch through conj(P) is -y(x), served by
+    negating it.  A cached expansion too short for the request is replaced
+    by one of at least twice its length."""
+    upper = point if point.y > 0 else point.conjugate()
+    cached = curve._branch_cache.get(upper)
     if cached is None or len(cached) < precision:
-        cached = series_sqrt_branch(curve.f, point.x, point.y, precision)
-        memo_put(curve._branch_cache, point, cached)
-    return cached[:precision]
+        length = precision if cached is None else max(precision, 2 * len(cached))
+        cached = series_sqrt_branch(curve.f, upper.x, upper.y, length)
+        memo_put(curve._branch_cache, upper, cached)
+    if point is upper:
+        return cached[:precision]
+    return tuple([-c for c in cached[:precision]])
 
 
 def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -> int:

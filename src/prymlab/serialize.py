@@ -14,6 +14,7 @@ from typing import Any, Iterable, Union
 
 from .curves import INFINITY, CurvePoint, Divisor, HyperellipticCurve
 from .jacobian import TwoTorsionClass, two_torsion_from_subset
+from .polynomials import as_fraction
 from .prym import GeometryProbes, PrymReport
 from .scroll import ScrollReport
 
@@ -26,11 +27,12 @@ def rational_to_str(value: Fraction) -> str:
 
 def rational_from_str(text: str | int) -> Fraction:
     """A "num/den" or decimal string, or a JSON integer; a float or a bool
-    is refused rather than read as its binary expansion."""
+    is refused rather than read as its binary expansion, and a string by the
+    rules of `as_fraction` (ASCII only, no '_')."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ValueError(f"not an exact rational: {text!r} (write it as a string, e.g. \"1/10\")")
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

@@ -14,6 +14,7 @@ from prymlab import (
     Divisor,
     HyperellipticCurve,
     MumfordClass,
+    Poly,
     cantor_add,
     cantor_identity,
     cantor_negate,
@@ -58,6 +59,101 @@ def mumford_point_by_point_oracle(curve: HyperellipticCurve, divisor: Divisor) -
         for _ in range(mult):
             acc = cantor_add(curve, acc, base)
     return acc
+
+
+def poly_add_oracle(a: Poly, b: Poly) -> Poly:
+    """a + b, coefficient by coefficient in Fraction arithmetic."""
+    x, y = a.coeffs, b.coeffs
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] += c
+    return Poly(out)
+
+
+def poly_sub_oracle(a: Poly, b: Poly) -> Poly:
+    return poly_add_oracle(a, Poly(tuple(-c for c in b.coeffs)))
+
+
+def poly_mul_oracle(a: Poly, b: Poly) -> Poly:
+    """a * b by the schoolbook convolution in Fraction arithmetic."""
+    x, y = a.coeffs, b.coeffs
+    if not x or not y:
+        return Poly()
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, ca in enumerate(x):
+        if ca:
+            for j, cb in enumerate(y):
+                if cb:
+                    out[i + j] += ca * cb
+    return Poly(out)
+
+
+def poly_divmod_oracle(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(quotient, remainder) by long division in Fraction arithmetic,
+    multiplying by the inverse leading coefficient at every step.
+
+    Reference for the integer pseudo-division under `Poly.__divmod__`."""
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.degree < b.degree:
+        return Poly(), a
+    rem = list(a.coeffs)
+    dv = b.coeffs
+    dd = len(dv) - 1
+    inv_lead = 1 / dv[-1]
+    quot = [Fraction(0)] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            q = c * inv_lead
+            quot[i - dd] = q
+            for j in range(dd + 1):
+                rem[i - dd + j] -= q * dv[j]
+    return Poly(quot), Poly(rem[:dd])
+
+
+def synthetic_division_oracle(a: Poly, x0: Fraction) -> tuple[Poly, Fraction]:
+    """Divide by (x - x0) in Fraction arithmetic: (quotient, remainder)."""
+    cs = a.coeffs
+    if not cs:
+        return Poly(), Fraction(0)
+    out = [Fraction(0)] * (len(cs) - 1)
+    acc = cs[-1]
+    for i in range(len(cs) - 2, -1, -1):
+        out[i] = acc
+        acc = cs[i] + x0 * acc
+    return Poly(out), acc
+
+
+def evaluate_oracle(a: Poly, x0: Fraction) -> Fraction:
+    """a(x0) by Horner's rule in Fraction arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(a.coeffs):
+        acc = acc * x0 + c
+    return acc
+
+
+def taylor_oracle(a: Poly, x0: Fraction, nterms: int) -> list[Fraction]:
+    """The first nterms Taylor coefficients at x0, one Fraction synthetic
+    division by (x - x0) per coefficient."""
+    out = []
+    for _ in range(nterms):
+        a, rem = synthetic_division_oracle(a, x0)
+        out.append(rem)
+    return out
+
+
+def multiplicity_oracle(a: Poly, x0: Fraction) -> int:
+    """The vanishing order at x0 by repeated Fraction synthetic division."""
+    mult = 0
+    while True:
+        quot, rem = synthetic_division_oracle(a, x0)
+        if rem != 0:
+            return mult
+        mult += 1
+        a = quot
 
 
 def gauss_jordan_oracle(matrix, cols: int) -> tuple[list[list[Fraction]], int]:

@@ -196,6 +196,32 @@ def test_h0_rejects_term_without_point(tmp_path, capsys):
     assert "needs a 'point'" in err
 
 
+NON_CANONICAL_RATIONALS = ["\u0663", "\uff11\uff12", "1_0"]  # Arabic-Indic 3, fullwidth 12
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_RATIONALS)
+@pytest.mark.parametrize("where", ["roots-flag", "roots-json", "point-json"])
+def test_rationals_must_be_ascii_without_underscores(tmp_path, capsys, where, text):
+    if where == "roots-flag":
+        code, out, err = run_cli(capsys, "curve", "new", "--roots", f"1,{text},2,4,5")
+    elif where == "roots-json":
+        curve_file = tmp_path / "curve.json"
+        curve_file.write_text(json.dumps({"roots": [text, "1", "2", "4", "5"]}))
+        code, out, err = run_cli(capsys, "eta", "list", "--curve", str(curve_file))
+    else:
+        term = {"point": {"x": text, "y": "1"}, "mult": 1}
+        code, out, err = _h0_with_divisor(tmp_path, capsys, {"terms": [term]})
+    assert code == 2 and out == ""
+    assert repr(text) in err
+
+
+@pytest.mark.parametrize("text, stored", [("1/2", "1/2"), ("-3", "-3"), ("0.5", "1/2")])
+def test_plain_rationals_still_accepted(capsys, text, stored):
+    code, out, _ = run_cli(capsys, "curve", "new", "--roots", f"1,{text},2,4,5")
+    assert code == 0
+    assert stored in json.loads(out)["roots"]
+
+
 @pytest.mark.parametrize("roots", [[0.1, 1, 2, 3, 4], [True, 2, 3, 4, 5]])
 def test_curve_rejects_float_and_bool_rationals(tmp_path, capsys, roots):
     curve_file = tmp_path / "curve.json"

@@ -1,11 +1,21 @@
 """Polynomial arithmetic: exactness, division, gcd."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from prymlab import Poly, poly_gcd, poly_xgcd
+from support import (
+    evaluate_oracle,
+    multiplicity_oracle,
+    poly_add_oracle,
+    poly_divmod_oracle,
+    poly_mul_oracle,
+    poly_sub_oracle,
+    taylor_oracle,
+)
 
 
 def test_zero_polynomial_sentinel():
@@ -86,3 +96,111 @@ def test_multiplicity_at():
 def test_string_rationals_accepted():
     p = Poly(("1/2", "-3"))
     assert p.coeffs == (Fraction(1, 2), Fraction(-3))
+
+
+# -- integer kernels against the Fraction oracles ------------------------------
+
+X0_DENOMINATORS = (1, 2, 3, 7)
+
+
+def _random_poly(rng: random.Random, max_degree: int = 12) -> Poly:
+    """Zero with probability about 1/14; otherwise degree 0..max_degree with
+    a nonzero leading coefficient, denominators up to 7 and some zero terms."""
+    degree = rng.randint(-1, max_degree)
+    coeffs = [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.8 else Fraction(0)
+        for _ in range(degree + 1)
+    ]
+    if coeffs:
+        coeffs[-1] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+    return Poly(coeffs)
+
+
+def _random_x0(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice(X0_DENOMINATORS))
+
+
+def _assert_canonical(p: Poly) -> None:
+    assert all(type(c) is Fraction for c in p.coeffs), p.coeffs
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+def test_add_sub_mul_match_fraction_oracle():
+    rng = random.Random(1001)
+    for _ in range(600):
+        a, b = _random_poly(rng), _random_poly(rng)
+        for got, want in (
+            (a + b, poly_add_oracle(a, b)),
+            (a - b, poly_sub_oracle(a, b)),
+            (a - a, Poly()),
+            (a * b, poly_mul_oracle(a, b)),
+            (a.monic(), Poly([c / a.coeffs[-1] for c in a.coeffs]) if a.coeffs else a),
+        ):
+            _assert_canonical(got)
+            assert got == want, (a, b)
+
+
+def test_divmod_matches_fraction_oracle():
+    rng = random.Random(1002)
+    for n in range(700):
+        a = _random_poly(rng)
+        b = _random_poly(rng, max_degree=6 if n % 4 else 0)  # every 4th divisor is constant
+        if b.is_zero:
+            b = Poly((Fraction(rng.randint(1, 9), rng.randint(1, 7)),))
+        quot, rem = divmod(a, b)
+        _assert_canonical(quot)
+        _assert_canonical(rem)
+        assert (quot, rem) == poly_divmod_oracle(a, b), (a, b)
+        assert a % b == rem
+        assert rem.degree < b.degree or rem.is_zero
+        assert (a * b).exact_div(b) == a
+
+
+def test_expansions_match_fraction_oracle():
+    rng = random.Random(1003)
+    for _ in range(700):
+        x0 = _random_x0(rng)
+        a = _random_poly(rng)
+        value = a.evaluate(x0)
+        assert type(value) is Fraction and value == evaluate_oracle(a, x0), (a, x0)
+        nterms = rng.randint(0, a.degree + 3)
+        taylor = a.taylor_at(x0, nterms)
+        assert all(type(c) is Fraction for c in taylor)
+        assert taylor == taylor_oracle(a, x0, nterms), (a, x0, nterms)
+        if not a.is_zero:
+            k = rng.randint(0, 3)
+            vanishing = poly_mul_oracle(a, Poly.from_roots([x0] * k))
+            assert vanishing.multiplicity_at(x0) == multiplicity_oracle(vanishing, x0) >= k
+
+
+def test_kernels_on_zero_operands():
+    a = Poly((Fraction(1, 2), 0, Fraction(-3, 7)))
+    zero = Poly()
+    assert a * zero == zero * a == zero
+    assert a + zero == zero + a == a
+    assert zero - a == poly_sub_oracle(zero, a)
+    assert divmod(zero, a) == (zero, zero)
+    assert zero.evaluate(Fraction(-2, 3)) == 0
+    assert zero.taylor_at(Fraction(-2, 3), 3) == [0, 0, 0]
+
+
+def test_exact_div_raises_on_a_remainder():
+    with pytest.raises(ArithmeticError, match="inexact"):
+        Poly((1, 0, 1)).exact_div(Poly((Fraction(-1, 3), 2)))
+
+
+@pytest.mark.parametrize("op", [divmod, lambda a, b: a % b, lambda a, b: a.exact_div(b)])
+def test_division_by_zero_polynomial_raises(op):
+    with pytest.raises(ZeroDivisionError):
+        op(Poly((Fraction(1, 2), 1)), Poly())
+
+
+def test_multiplicity_of_zero_polynomial_raises():
+    with pytest.raises(ValueError, match="vanishes everywhere"):
+        Poly().multiplicity_at(Fraction(-1, 7))
+
+
+@pytest.mark.parametrize("text", ["٣", "１２", "1_0"])
+def test_non_ascii_and_underscore_strings_rejected(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        Poly((text,))
