@@ -13,6 +13,7 @@ import json
 import sys
 
 from .curves import HyperellipticCurve
+from .polynomials import MAX_STRING_DIGITS
 from .prym import closed_form_report, search_report
 from .riemann_roch import h0
 from .scroll import park_parameters, scroll_report
@@ -71,10 +72,15 @@ def _cmd_curve_new(args) -> int:
         curve = HyperellipticCurve(roots)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from None
-    payload = curve_to_dict(curve)
-    lines = [f"genus\t{curve.genus}", f"f(x)\t{curve.f}"] + [
-        f"{lab}\t{p}" for lab, p in zip(curve.weierstrass_labels, curve.weierstrass_points)
-    ]
+    try:
+        payload = curve_to_dict(curve)
+        lines = [f"genus\t{curve.genus}", f"f(x)\t{curve.f}"] + [
+            f"{lab}\t{p}" for lab, p in zip(curve.weierstrass_labels, curve.weierstrass_points)
+        ]
+    except ValueError:  # Python refuses to print an integer this long
+        raise InputError(
+            f"f(x) has a coefficient of more than {MAX_STRING_DIGITS} digits; use smaller roots"
+        ) from None
     _emit(payload, args.format, lines)
     _say(f"genus {curve.genus} curve with {2 * curve.genus + 2} Weierstrass points")
     return 0

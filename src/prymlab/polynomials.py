@@ -15,6 +15,7 @@ coefficient becomes one reduced `Fraction` at the end.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -22,18 +23,35 @@ from typing import Iterable, Sequence, Union
 Coefficient = Union[Fraction, int, str]
 
 
+MAX_STRING_DIGITS = 4300
+"""The most digits a rational read from a string may have: Python's default
+limit on int-to-string conversion, so whatever is read can be written back."""
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
+
+
 def as_fraction(value: Coefficient) -> Fraction:
     """Coerce ints, Fractions and ASCII 'p/q' or decimal strings to an
-    exact Fraction.  A string with a non-ASCII character or an underscore
-    is refused: `Fraction` would read an Arabic-Indic three as 3 and '1_0'
-    as 10."""
+    exact Fraction.  A `bool` is refused rather than read as 0 or 1.  A
+    string with a non-ASCII character or an underscore is refused:
+    `Fraction` would read an Arabic-Indic three as 3 and '1_0' as 10.  So is
+    a string whose length plus decimal exponent passes MAX_STRING_DIGITS,
+    before any integer is built: '1e999999999' would take a billion
+    digits."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if isinstance(value, bool):
+            raise TypeError(f"not an exact rational: {value!r}")
         return Fraction(value)
     if isinstance(value, str):
         if not value.isascii() or "_" in value:
             raise ValueError(f"not an exact rational: {value!r} (use ASCII digits, no '_')")
+        exponent = _EXPONENT.search(value)
+        if len(value) > MAX_STRING_DIGITS or (
+            exponent and len(value) + abs(int(exponent[1])) > MAX_STRING_DIGITS
+        ):
+            raise ValueError(f"rational too large (over {MAX_STRING_DIGITS} digits): {value[:40]!r}")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

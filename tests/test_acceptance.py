@@ -47,7 +47,7 @@ def test_criterion_1_search_reproduces_closed_form():
     full ramification pool with max_degree g-1 returns exactly k-1 and
     dimension pair (0,0), matching the closed form."""
     started = time.perf_counter()
-    details = [check_search_matches_closed_form(g, exhaustive=True) for g in (2, 3, 4)]
+    details = [check_search_matches_closed_form(g, True, {}) for g in (2, 3, 4)]
     _report(1, started, details)
 
 
@@ -55,7 +55,7 @@ def test_criterion_2_zero_index_classification():
     """Index 0 happens exactly at k = 1, and then the twisted canonical
     system has exactly the two subset points as base points."""
     started = time.perf_counter()
-    details = [check_zero_classification(g, exhaustive=True) for g in (2, 3, 4)]
+    details = [check_zero_classification(g, True, {}) for g in (2, 3, 4)]
     _report(2, started, details)
 
 
@@ -65,9 +65,9 @@ def test_criterion_3_bound_attainment():
     all 1023 classes plus full searches at maximal k."""
     started = time.perf_counter()
     details = [
-        check_upper_bound_attained(3, exhaustive=True),
-        check_upper_bound_attained(4, exhaustive=True),
-        check_upper_bound_attained(5, exhaustive=False),
+        check_upper_bound_attained(3, True, {}),
+        check_upper_bound_attained(4, True, {}),
+        check_upper_bound_attained(5, False, {}),
     ]
     _report(3, started, details)
 

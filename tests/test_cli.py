@@ -63,6 +63,22 @@ def test_curve_new_rejects_duplicates(capsys):
     assert "squarefree" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "roots, message",
+    [
+        ("1e5000,1,2,3,4", "rational too large"),
+        ("1e999999999,1,2,3,4", "rational too large"),
+        # each root fits, but f's coefficients pass the digit bound
+        ("1e1000,2e1000,3e1000,4e1000,5e1000", "f(x) has a coefficient of more than"),
+    ],
+)
+def test_curve_new_rejects_roots_too_large_to_print(capsys, fmt, roots, message):
+    code, out, err = run_cli(capsys, "curve", "new", "--roots", roots, "--format", fmt)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_cliff_rejects_odd_eta(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "curve", "new", "--roots", "1,2,3,4,5")
     curve_file = tmp_path / "curve.json"

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from prymlab import Poly, poly_gcd, poly_xgcd
+from prymlab import HyperellipticCurve, Poly, poly_gcd, poly_xgcd
+from prymlab.polynomials import MAX_STRING_DIGITS, as_fraction
 from support import (
     evaluate_oracle,
     multiplicity_oracle,
@@ -204,3 +205,27 @@ def test_multiplicity_of_zero_polynomial_raises():
 def test_non_ascii_and_underscore_strings_rejected(text):
     with pytest.raises(ValueError, match=re.escape(repr(text))):
         Poly((text,))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bools_are_not_rationals(flag):
+    for build in (as_fraction, lambda b: Poly((b,)), lambda b: HyperellipticCurve([b, 2, 3, 4, 5])):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            build(flag)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e5000", "1e-5000", "1e999999999", "1e" + "9" * 5000, "7" * (MAX_STRING_DIGITS + 1)]
+)
+def test_strings_past_the_digit_bound_are_refused_before_building(text):
+    # '1e999999999' would be a billion-digit integer: it must fail at once
+    with pytest.raises(ValueError, match="rational too large"):
+        as_fraction(text)
+    with pytest.raises(ValueError, match="rational too large"):
+        Poly((text,))
+
+
+def test_strings_within_the_digit_bound_are_read_exactly():
+    assert as_fraction("1e4000") == 10**4000
+    assert as_fraction("-25e-2") == Fraction(-1, 4)
+    assert as_fraction("3" * MAX_STRING_DIGITS) == int("3" * MAX_STRING_DIGITS)

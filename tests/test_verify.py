@@ -9,9 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from prymlab import run_suite
+from prymlab import run_suite, verify
 from prymlab.verify import SUITE_NAMES, check_group_closure, sample_etas_for_k
 from prymlab import standard_curve
+
+SEARCH_CLAIMS = (
+    "search-matches-closed",
+    "zero-iff-k1",
+    "bound-attained",
+    "dimension-pairs",
+    "witness-base-disjoint",
+)
 
 
 def test_unknown_suite_rejected():
@@ -30,10 +38,26 @@ def test_suite_names_all_runnable_small():
         assert suite.genus_max == 2
 
 
-def test_two_runs_give_identical_reports():
-    first = run_suite("two-torsion", 2)
-    second = run_suite("two-torsion", 2)
+@pytest.mark.parametrize("name, genus_max", [("two-torsion", 2), ("prym-clifford", 3)])
+def test_two_runs_give_identical_reports(name, genus_max):
+    first = run_suite(name, genus_max)
+    second = run_suite(name, genus_max)
     assert first.checks == second.checks
+
+
+def test_each_class_is_searched_once_per_run(monkeypatch):
+    calls = []
+    real = verify.search_report
+
+    def counted(curve, eta, *args, **kwargs):
+        calls.append((curve.genus, eta))
+        return real(curve, eta, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "search_report", counted)
+    suite = run_suite("prym-clifford", 3)
+    assert suite.failed == 0
+    # one search per (genus, class): 15 classes at genus 2, 63 at genus 3
+    assert len(calls) == len(set(calls)) == 15 + 63
 
 
 # park_parameters replaced by a wrapper that still raises ValueError where the
@@ -62,6 +86,39 @@ def test_planted_park_table_fails_under_optimize():
     report = json.loads(proc.stdout)
     assert report["optimize"] == 1
     assert report["checks"] == [["park-table", "fail", "k=3: nu 99"]]
+
+
+# a clean run, then class_h0 planted one too high: every claim that reads
+# the search reports must fail again, so no report may outlive its run
+PLANTED_H0_UNDER_O = """
+import json, sys
+from prymlab import prym, verify
+clean = verify.run_suite("prym-clifford", 3)
+real = prym.class_h0
+prym.class_h0 = lambda *args: real(*args) + 1
+planted = verify.run_suite("prym-clifford", 3)
+print(json.dumps({
+    "optimize": sys.flags.optimize,
+    "clean": [[c.claim, c.status, c.detail] for c in clean.checks],
+    "planted": {c.claim: c.status for c in planted.checks},
+}))
+"""
+
+
+def test_planted_wrong_h0_fails_every_search_claim_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_H0_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["optimize"] == 1
+    assert all(status == "pass" for _, status, _ in report["clean"]), report["clean"]
+    for g in (2, 3):
+        for claim in SEARCH_CLAIMS:
+            assert report["planted"][f"{claim}-g{g}"] == "fail", (claim, g)
 
 
 def test_eta_sampling_is_deterministic_and_spread():
