@@ -42,7 +42,6 @@ from .prym import (
     closed_form_report,
     contributes,
     geometry_probes,
-    iota_invariant_index,
     min_secant_degree,
     search_report,
     secant_membership,
@@ -61,7 +60,6 @@ from .scroll import (
     dj_sequence,
     park_parameters,
     scroll_report,
-    scroll_type,
 )
 from .series import BranchUndefinedError, series_sqrt_branch
 from .verify import VerificationCheck, VerificationSuite, run_suite
@@ -99,7 +97,6 @@ __all__ = [
     "geometry_probes",
     "h0",
     "is_linearly_equivalent",
-    "iota_invariant_index",
     "kernel_basis",
     "matrix_rank",
     "min_secant_degree",
@@ -111,7 +108,6 @@ __all__ = [
     "riemann_roch_space",
     "run_suite",
     "scroll_report",
-    "scroll_type",
     "search_report",
     "secant_membership",
     "series_sqrt_branch",

@@ -3,7 +3,8 @@
 Canonical JSON goes to stdout (byte-identical across re-runs with the same
 inputs), a short human summary goes to stderr.  `--format table` switches
 stdout to an aligned text rendering.  Exit codes: 0 success, 1 verification
-failure, 2 malformed input.
+failure, 2 malformed input.  `main` maps every ValueError to exit 2 with its
+message; any other exception is an engine bug and exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_curve(path: str) -> HyperellipticCurve:
-    try:
-        return curve_from_dict(_load_json(path))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return curve_from_dict(_load_json(path))
 
 
 def _emit(payload, fmt: str, table_lines) -> None:
@@ -67,11 +65,7 @@ def _say(message: str) -> None:
 
 
 def _cmd_curve_new(args) -> int:
-    try:
-        roots = [part.strip() for part in args.roots.split(",") if part.strip()]
-        curve = HyperellipticCurve(roots)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(str(exc)) from None
+    curve = HyperellipticCurve([part.strip() for part in args.roots.split(",") if part.strip()])
     try:
         payload = curve_to_dict(curve)
         lines = [f"genus\t{curve.genus}", f"f(x)\t{curve.f}"] + [
@@ -108,10 +102,7 @@ def _cmd_eta_list(args) -> int:
 
 
 def _parse_eta(curve, text: str):
-    try:
-        eta = eta_from_labels(curve, text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    eta = eta_from_labels(curve, text)
     if eta.is_trivial:
         raise InputError("the trivial 2-torsion class is not allowed here")
     return eta
@@ -120,23 +111,20 @@ def _parse_eta(curve, text: str):
 def _cmd_cliff(args) -> int:
     curve = _load_curve(args.curve)
     eta = _parse_eta(curve, args.eta)
-    try:
-        if args.mode == "closed":
-            report = closed_form_report(curve, eta, include_probes=not args.no_probes)
-        else:
-            pool = None
-            if args.pool not in (None, "weierstrass"):
-                data = _load_json(args.pool)
-                points = data.get("points", []) if isinstance(data, dict) else None
-                if not isinstance(points, list):
-                    raise ValueError("pool JSON needs a 'points' list")
-                pool = [point_from_dict(p, curve) for p in points]
-            report = search_report(
-                curve, eta, pool=pool, max_degree=args.max_degree,
-                include_probes=not args.no_probes,
-            )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if args.mode == "closed":
+        report = closed_form_report(curve, eta, include_probes=not args.no_probes)
+    else:
+        pool = None
+        if args.pool not in (None, "weierstrass"):
+            data = _load_json(args.pool)
+            points = data.get("points", []) if isinstance(data, dict) else None
+            if not isinstance(points, list):
+                raise InputError("pool JSON needs a 'points' list")
+            pool = [point_from_dict(p, curve) for p in points]
+        report = search_report(
+            curve, eta, pool=pool, max_degree=args.max_degree,
+            include_probes=not args.no_probes,
+        )
     payload = prym_report_to_dict(report, curve)
     lines = [
         f"genus\t{report.genus}",
@@ -158,11 +146,7 @@ def _cmd_cliff(args) -> int:
 
 def _cmd_scroll(args) -> int:
     curve = _load_curve(args.curve)
-    eta = _parse_eta(curve, args.eta)
-    try:
-        report = scroll_report(curve, eta)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = scroll_report(curve, _parse_eta(curve, args.eta))
     payload = scroll_report_to_dict(report)
     lines = [
         f"genus\t{report.genus}",
@@ -185,10 +169,7 @@ def _cmd_scroll(args) -> int:
 
 
 def _cmd_park(args) -> int:
-    try:
-        nu, p, regularity = park_parameters(args.genus, args.k)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    nu, p, regularity = park_parameters(args.genus, args.k)
     payload = {"nu": nu, "p": p, "regularity": regularity}
     _emit(payload, args.format, [f"nu\t{nu}", f"p\t{p}", f"regularity\t{regularity}"])
     note = " (p < 1: below the syzygy-property range)" if p < 1 else ""
@@ -198,11 +179,8 @@ def _cmd_park(args) -> int:
 
 def _cmd_h0(args) -> int:
     curve = _load_curve(args.curve)
-    try:
-        divisor = divisor_from_dict(_load_json(args.divisor), curve)
-        value = h0(curve, divisor)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    divisor = divisor_from_dict(_load_json(args.divisor), curve)
+    value = h0(curve, divisor)
     payload = {"degree": divisor.degree, "h0": value}
     _emit(payload, args.format, [f"degree\t{divisor.degree}", f"h0\t{value}"])
     _say(f"h0 = {value} (degree {divisor.degree})")
@@ -313,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 2
     try:
         return args.fn(args)
-    except InputError as exc:
+    except ValueError as exc:  # InputError included; engine bugs are not ValueErrors
         _say(f"error: {exc}")
         return 2
     except BrokenPipeError:

@@ -37,7 +37,7 @@ def as_fraction(value: Coefficient) -> Fraction:
     `Fraction` would read an Arabic-Indic three as 3 and '1_0' as 10.  So is
     a string whose length plus decimal exponent passes MAX_STRING_DIGITS,
     before any integer is built: '1e999999999' would take a billion
-    digits."""
+    digits.  A zero denominator is a ValueError like any malformed string."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -52,7 +52,10 @@ def as_fraction(value: Coefficient) -> Fraction:
             exponent and len(value) + abs(int(exponent[1])) > MAX_STRING_DIGITS
         ):
             raise ValueError(f"rational too large (over {MAX_STRING_DIGITS} digits): {value[:40]!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -16,10 +16,13 @@ divisors.  A search over a pool containing all 2g+2 ramification points
 with max_degree = g-1 is exact; any smaller pool yields an upper bound and
 the report says so via its mode and pool fields.
 
-Also here: the lexicographic Clifford-dimension pair, the invariant index
-of the associated unramified double cover (2*min(index, gonality-1), with
-gonality 2 in this hyperelliptic scope), secant-variety membership tests,
-and the base-point / point-separation / trisecant probes.
+A report stores the index, the lexicographic dimension pair and the
+witnesses.  Its genus, k and `iota_cliff` are read from eta and the index:
+`iota_cliff` is the invariant index of the associated unramified double
+cover, 2*min(index, gonality-1), with gonality 2 in this hyperelliptic
+scope.  Also here: secant-variety membership tests and the base-point /
+point-separation / trisecant probes.  Every entry point refuses a class of
+another curve.
 """
 
 from __future__ import annotations
@@ -50,16 +53,31 @@ class GeometryProbes:
 class PrymReport:
     """Structured result of a curve-level index computation."""
 
-    genus: int
     eta: TwoTorsionClass
-    k: int
     cliff_eta: int | None
     cliff_dim: tuple[int, int] | None
     witnesses: tuple[Divisor, ...]
     mode: str
     pool_description: str
-    iota_cliff: int | None
-    probes: GeometryProbes | None = None
+    probes: GeometryProbes | None
+
+    @property
+    def genus(self) -> int:
+        return self.eta.curve.genus
+
+    @property
+    def k(self) -> int:
+        return self.eta.k
+
+    @property
+    def iota_cliff(self) -> int | None:
+        """Minimal Clifford index over involution-invariant bundles on the
+        unramified double cover attached to eta, 2 * min(index, gonality - 1),
+        read from the index (the cover is never constructed); None when no
+        bundle contributes."""
+        if self.cliff_eta is None:
+            return None
+        return 2 * min(self.cliff_eta, GONALITY - 1)
 
     @property
     def witness(self) -> Divisor | None:
@@ -68,9 +86,23 @@ class PrymReport:
         return self.witnesses[0] if self.witnesses else None
 
 
+def _check_curve(curve: HyperellipticCurve, eta: TwoTorsionClass) -> None:
+    """Refuse a class of another curve: its twist would mean nothing here."""
+    if eta.curve != curve:
+        raise ValueError(f"eta is a class of another curve: {eta.curve!r}")
+
+
+def _check_eta(curve: HyperellipticCurve, eta: TwoTorsionClass) -> None:
+    """Refuse a class of another curve, and the trivial class."""
+    _check_curve(curve, eta)
+    if eta.is_trivial:
+        raise ValueError("need a nontrivial 2-torsion class")
+
+
 def contributes(curve: HyperellipticCurve, eta: TwoTorsionClass, d: Divisor) -> bool:
     """deg <= g-1 with sections on both sides of the twist.  Every point of
     d is checked on the curve, whatever its degree."""
+    _check_curve(curve, eta)
     curve.validate_divisor(d)
     if d.degree > curve.genus - 1:
         return False
@@ -83,6 +115,7 @@ def clifford_of_divisor(
     curve: HyperellipticCurve, eta: TwoTorsionClass, d: Divisor
 ) -> int:
     """deg(d) - h0(d) - h0(twist) + 1; requires sections on both sides."""
+    _check_curve(curve, eta)
     sections = h0(curve, d)
     twisted_sections = h0(curve, eta.twist(d))
     if sections < 1 or twisted_sections < 1:
@@ -90,12 +123,6 @@ def clifford_of_divisor(
             f"divisor {d} does not contribute: h0 = {sections}, twisted h0 = {twisted_sections}"
         )
     return d.degree - sections - twisted_sections + 1
-
-
-def _iota_value(cliff: int | None) -> int | None:
-    if cliff is None:
-        return None
-    return 2 * min(cliff, GONALITY - 1)
 
 
 def _bounds_check(genus: int, value: int, exact: bool) -> None:
@@ -115,8 +142,7 @@ def closed_form_report(
     """Curve-level index k-1 with dimension pair (0, 0), witness the sum of
     the first k points of eta's canonical subset, re-certified against the
     h0 oracle before returning."""
-    if eta.is_trivial:
-        raise ValueError("the index needs a nontrivial 2-torsion class")
+    _check_eta(curve, eta)
     k = eta.k
     witness = eta.divisor_pair().positive
     value = clifford_of_divisor(curve, eta, witness)
@@ -126,15 +152,12 @@ def closed_form_report(
         )
     _bounds_check(curve.genus, value, exact=True)
     return PrymReport(
-        genus=curve.genus,
         eta=eta,
-        k=k,
         cliff_eta=value,
         cliff_dim=(0, 0),
         witnesses=(witness,),
         mode="closed_form",
         pool_description="weierstrass",
-        iota_cliff=_iota_value(value),
         probes=geometry_probes(curve, eta) if include_probes else None,
     )
 
@@ -170,8 +193,7 @@ def search_report(
     A pool with no contributing bundle is reported with cliff_eta = None,
     not an exception.
     """
-    if eta.is_trivial:
-        raise ValueError("the index needs a nontrivial 2-torsion class")
+    _check_eta(curve, eta)
     g = curve.genus
     if max_degree is None:
         max_degree = g - 1
@@ -200,55 +222,22 @@ def search_report(
                 best_combos.append(combo)
 
     if best_key is None:
-        return PrymReport(
-            genus=g,
-            eta=eta,
-            k=eta.k,
-            cliff_eta=None,
-            cliff_dim=None,
-            witnesses=(),
-            mode="search",
-            pool_description=pool_description,
-            iota_cliff=None,
-            probes=geometry_probes(curve, eta) if include_probes else None,
-        )
-
-    value, pair = best_key
-    _bounds_check(g, value, exact)
-    witnesses = tuple(Divisor.of_points(combo) for combo in best_combos)
-    if clifford_of_divisor(curve, eta, witnesses[0]) != value:
-        raise ArithmeticError("witness re-certification failed: engine bug")
+        value, pair, witnesses = None, None, ()
+    else:
+        value, pair = best_key
+        _bounds_check(g, value, exact)
+        witnesses = tuple(Divisor.of_points(combo) for combo in best_combos)
+        if clifford_of_divisor(curve, eta, witnesses[0]) != value:
+            raise ArithmeticError("witness re-certification failed: engine bug")
     return PrymReport(
-        genus=g,
         eta=eta,
-        k=eta.k,
         cliff_eta=value,
         cliff_dim=pair,
         witnesses=witnesses,
         mode="search",
         pool_description=pool_description,
-        iota_cliff=_iota_value(value),
         probes=geometry_probes(curve, eta) if include_probes else None,
     )
-
-
-def iota_invariant_index(
-    curve: HyperellipticCurve,
-    eta: TwoTorsionClass,
-    pool: list[CurvePoint] | None = None,
-    max_degree: int | None = None,
-) -> int | None:
-    """Minimal Clifford index over involution-invariant bundles on the
-    unramified double cover attached to eta: 2 * min(index, gonality - 1).
-    The cover itself is never constructed.  Uses the closed form when no
-    pool is given, the pool search otherwise."""
-    if eta.is_trivial:
-        raise ValueError("the invariant needs a nontrivial 2-torsion class")
-    if pool is None:
-        value = closed_form_report(curve, eta).cliff_eta
-    else:
-        value = search_report(curve, eta, pool, max_degree).cliff_eta
-    return _iota_value(value)
 
 
 def secant_membership(
@@ -260,6 +249,7 @@ def secant_membership(
     Tested as twisted h0(d) >= f and cross-checked against the equivalent
     condition h0(canonical + eta - d) >= g - 1 - e + f.
     """
+    _check_curve(curve, eta)
     if not (1 <= f < e):
         raise ValueError("need 1 <= f < e")
     if not d.is_effective or d.degree != e:
@@ -281,8 +271,7 @@ def min_secant_degree(
     condition on the twisted canonical system (twisted h0 >= 1); None if no
     such divisor exists up to degree g-1.  On a full ramification pool this
     equals index + 1 = k."""
-    if eta.is_trivial:
-        raise ValueError("the probe needs a nontrivial 2-torsion class")
+    _check_eta(curve, eta)
     points, _, _ = _normalised_pool(curve, pool)
     eta_mask = eta.mask
     for e in range(1, curve.genus):
@@ -301,8 +290,7 @@ def geometry_probes(curve: HyperellipticCurve, eta: TwoTorsionClass) -> Geometry
     h0(p + q) >= 1 (nonempty iff k <= 2); trisecant witnesses: degree-3
     divisors D with h0(canonical + eta - D) = g - 3 (nonempty at k = 3).
     """
-    if eta.is_trivial:
-        raise ValueError("the probes need a nontrivial 2-torsion class")
+    _check_eta(curve, eta)
     g = curve.genus
     pool = curve.weierstrass_points
     eta_mask = eta.mask

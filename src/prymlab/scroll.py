@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .curves import HyperellipticCurve
 from .jacobian import TwoTorsionClass
+from .prym import _check_eta
 from .riemann_roch import h0
 
 
@@ -52,8 +53,7 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     {0, 1, 2} and the entries sum to g - 1; violations raise, since they can
     only come from an engine defect.
     """
-    if eta.is_trivial:
-        raise ValueError("need a nontrivial 2-torsion class")
+    _check_eta(curve, eta)
     if eta.k < 2:
         raise ValueError("k = 1: the twisted canonical system has base points")
     g = curve.genus
@@ -80,22 +80,6 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     return tuple(drops)
 
 
-def _type_of_drops(drops: tuple[int, ...], genus: int, k: int) -> tuple[int, int]:
-    """(e1, e2) from a drop sequence, checked against (g-1-k, k-2)."""
-    e1 = sum(1 for d in drops if d >= 1) - 1
-    e2 = sum(1 for d in drops if d >= 2) - 1
-    if (e1, e2) != (genus - 1 - k, k - 2):
-        raise ScrollMismatchError(
-            f"drop-derived type {(e1, e2)} != closed form {(genus - 1 - k, k - 2)}"
-        )
-    return e1, e2
-
-
-def scroll_type(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, int]:
-    """(e1, e2) from the drop sequence, checked against (g-1-k, k-2)."""
-    return _type_of_drops(dj_sequence(curve, eta), curve.genus, eta.k)
-
-
 def park_parameters(genus: int, k: int) -> tuple[int, int, int]:
     """(nu, p, regularity) for the embedded twisted canonical curve.
 
@@ -118,7 +102,10 @@ def scroll_report(curve: HyperellipticCurve, eta: TwoTorsionClass) -> ScrollRepo
     """Full scroll/syzygy report; syzygy fields are None for k = 2."""
     drops = dj_sequence(curve, eta)
     g, k = curve.genus, eta.k
-    e1, e2 = _type_of_drops(drops, g, k)
+    e1 = sum(1 for d in drops if d >= 1) - 1
+    e2 = sum(1 for d in drops if d >= 2) - 1
+    if (e1, e2) != (g - 1 - k, k - 2):
+        raise ScrollMismatchError(f"drop-derived type {(e1, e2)} != closed form {(g - 1 - k, k - 2)}")
     if k >= 3:
         nu, p, regularity = park_parameters(g, k)
     else:

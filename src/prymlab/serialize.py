@@ -31,10 +31,7 @@ def rational_from_str(text: str | int) -> Fraction:
     rules of `as_fraction` (ASCII only, no '_')."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ValueError(f"not an exact rational: {text!r} (write it as a string, e.g. \"1/10\")")
-    try:
-        return as_fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    return as_fraction(text)
 
 
 # -- curves -----------------------------------------------------------------

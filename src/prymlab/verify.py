@@ -7,9 +7,11 @@ so `python -O` cannot silence a check.  Randomized checks seed their
 generators from the claim id, so a suite run is a pure function of
 (name, genus_max).
 
-The claims that read full-pool search reports share one table per run,
-mapping each 2-torsion class to its report: a class is searched the first
-time a claim asks for it, once per run, and the table dies with the run.
+The six claims that read full-pool search reports (iota among them) share
+one table per run, mapping each 2-torsion class to its report: a class is
+searched the first time a claim asks for it, once per run, and the table
+dies with the run.  Each check takes its sample sizes from its genus;
+class enumerations are exhaustive through genus EXHAUSTIVE_TO.
 
 Suite names: riemann-roch, two-torsion, prym-clifford,
 classification-probes, scroll, and all.
@@ -42,13 +44,12 @@ from .prym import (
     closed_form_report,
     contributes,
     geometry_probes,
-    iota_invariant_index,
     min_secant_degree,
     search_report,
     secant_membership,
 )
 from .riemann_roch import h0, is_linearly_equivalent, riemann_roch_space, valuation
-from .scroll import dj_sequence, park_parameters, scroll_type
+from .scroll import park_parameters, scroll_report
 
 SUITE_NAMES = (
     "riemann-roch",
@@ -58,6 +59,8 @@ SUITE_NAMES = (
     "scroll",
     "all",
 )
+
+EXHAUSTIVE_TO = 4  # the genus through which class claims enumerate every class
 
 
 @dataclass(frozen=True)
@@ -164,8 +167,9 @@ def _base_points(curve, divisor, probes) -> set:
 # engine soundness checks
 
 
-def check_rr_identity(genus: int, trials: int = 500) -> str:
+def check_rr_identity(genus: int) -> str:
     """h0(D) - h0(K - D) = deg D - g + 1 on randomized divisors, exactly."""
+    trials = 500 if genus <= 5 else 150
     marked_curve, marked = curve_with_marked_point(genus)
     arenas = [
         (standard_curve(genus), standard_curve(genus).weierstrass_points),
@@ -191,8 +195,9 @@ def check_h0_basics(genus: int) -> str:
     return "canonical and pencil dimensions on 2 curves"
 
 
-def check_monotonicity(genus: int, trials: int = 80) -> str:
+def check_monotonicity(genus: int) -> str:
     """h0(D) <= h0(D + p) <= h0(D) + 1."""
+    trials = 80 if genus <= 4 else 40
     curve, marked = curve_with_marked_point(genus)
     points = curve.weierstrass_points + (marked, marked.conjugate())
     rng = random.Random(f"monotonicity:{genus}")
@@ -205,9 +210,9 @@ def check_monotonicity(genus: int, trials: int = 80) -> str:
     return f"{trials} randomized (divisor, point) pairs"
 
 
-def check_structure_theorem(genus: int, limit: int | None = None) -> str:
+def check_structure_theorem(genus: int) -> str:
     """Every special effective divisor, minus its base points, is a multiple
-    of the degree-2 pencil."""
+    of the degree-2 pencil: all of them through genus 4, 60 sampled above."""
     curve = standard_curve(genus)
     points = curve.weierstrass_points
     pencil = curve.pencil_divisor()
@@ -216,9 +221,8 @@ def check_structure_theorem(genus: int, limit: int | None = None) -> str:
         for degree in range(1, genus)
         for c in itertools.combinations_with_replacement(points, degree)
     ]
-    if limit is not None and len(combos) > limit:
-        rng = random.Random(f"structure:{genus}")
-        combos = rng.sample(combos, limit)
+    if genus > 4:
+        combos = random.Random(f"structure:{genus}").sample(combos, 60)
     checked = 0
     for combo in combos:
         d = Divisor.of_points(combo)
@@ -239,9 +243,10 @@ def check_structure_theorem(genus: int, limit: int | None = None) -> str:
     return f"{checked} effective divisors of degree <= g-1"
 
 
-def check_basis_valuations(genus: int, trials: int = 25) -> str:
+def check_basis_valuations(genus: int) -> str:
     """Each basis function of L(D) satisfies div(phi) + D >= 0 at the
     support of D, its conjugates, and infinity."""
+    trials = 25 if genus <= 4 else 10
     curve, marked = curve_with_marked_point(genus)
     points = curve.weierstrass_points + (marked, marked.conjugate())
     rng = random.Random(f"basis-valuations:{genus}")
@@ -261,10 +266,11 @@ def check_basis_valuations(genus: int, trials: int = 25) -> str:
     return f"{functions} basis functions over {trials} spaces"
 
 
-def check_cantor_oracle(genus: int, pairs: int = 120) -> str:
+def check_cantor_oracle(genus: int) -> str:
     """Mumford-class equality agrees with the h0 linear-equivalence oracle
     on randomized degree-0 class pairs; half the pairs are equivalent by
     construction via principal divisors."""
+    pairs = 120 if genus <= 3 else 60
     curve, marked = curve_with_marked_point(genus)
     ws = curve.weierstrass_points
     affine = [w for w in ws if not w.is_infinity]
@@ -318,16 +324,16 @@ def check_two_torsion_count(genus: int) -> str:
     return f"{len(classes)} classes, histogram {sorted(histogram.items())}"
 
 
-def check_beta_injective(genus: int, sample_per_k: int | None = None) -> str:
+def check_beta_injective(genus: int) -> str:
     """Distinct subsets of size 2k <= g give distinct classes, certified by
-    the h0 oracle pairwise."""
+    the h0 oracle pairwise: every subset through EXHAUSTIVE_TO, 25 per k
+    above."""
     curve = standard_curve(genus)
     total = 0
     for k in range(1, genus // 2 + 1):
         combos = list(itertools.combinations(range(1, 2 * genus + 3), 2 * k))
-        if sample_per_k is not None and len(combos) > sample_per_k:
-            rng = random.Random(f"beta-injective:{genus}:{k}")
-            combos = rng.sample(combos, sample_per_k)
+        if genus > EXHAUSTIVE_TO:
+            combos = random.Random(f"beta-injective:{genus}:{k}").sample(combos, 25)
         divisors = [two_torsion_from_subset(curve, c).beta_divisor() for c in combos]
         for (c1, d1), (c2, d2) in itertools.combinations(zip(combos, divisors), 2):
             require(
@@ -338,18 +344,18 @@ def check_beta_injective(genus: int, sample_per_k: int | None = None) -> str:
     return f"{total} pairs distinguished"
 
 
-def check_beta_two_to_one(genus: int, sample: int | None = None) -> str:
+def check_beta_two_to_one(genus: int) -> str:
     """At 2k = g+1 complementary subsets give the same class and nothing
-    else collides."""
+    else collides: every subset at genus 3, above it 20 sampled subsets and
+    their complements."""
     require(genus % 2 == 1, "2:1 fibers need odd genus")
     curve = standard_curve(genus)
     n = 2 * genus + 2
     size = genus + 1
     full = frozenset(range(1, n + 1))
     combos = [frozenset(c) for c in itertools.combinations(range(1, n + 1), size)]
-    if sample is not None and len(combos) > 2 * sample:
-        rng = random.Random(f"beta-two-to-one:{genus}")
-        picked = rng.sample(combos, sample)
+    if genus > 3:
+        picked = random.Random(f"beta-two-to-one:{genus}").sample(combos, 20)
         combos = picked + [full - c for c in picked]
     writings: dict[TwoTorsionClass, list[frozenset]] = {}
     for c in dict.fromkeys(combos):  # dedupe, order-preserving
@@ -390,17 +396,18 @@ def _unrank_pair(n: int, index: int) -> tuple[int, int]:
     return lo, lo + 1 + index - before(lo)
 
 
-def check_group_closure(genus: int, sample_pairs: int | None = None) -> str:
+def check_group_closure(genus: int) -> str:
     """Symmetric difference is a group law: involution, closure, and
-    agreement between subset, Cantor, and h0 composition on sampled pairs."""
+    agreement between subset, Cantor, and h0 composition on all pairs, or
+    on 150 sampled pairs where there are more (genus >= 3)."""
     curve = standard_curve(genus)
     classes = enumerate_two_torsion(curve)
     class_set = set(classes)
     n = len(classes)
     rng = random.Random(f"group-closure:{genus}")
-    if sample_pairs is not None and comb(n, 2) > sample_pairs:
+    if comb(n, 2) > 150:
         # the same draw as sampling the list of all pairs, without building it
-        pairs = [_unrank_pair(n, index) for index in rng.sample(range(comb(n, 2)), sample_pairs)]
+        pairs = [_unrank_pair(n, index) for index in rng.sample(range(comb(n, 2)), 150)]
     else:
         pairs = list(itertools.combinations(range(n), 2))
     for c in classes:
@@ -419,7 +426,7 @@ def check_group_closure(genus: int, sample_pairs: int | None = None) -> str:
     return f"{len(classes)} involutions, {len(pairs)} composition pairs"
 
 
-def check_distinct_k_distinct_class(genus: int, sample: int = 40) -> str:
+def check_distinct_k_distinct_class(genus: int) -> str:
     """Classes with different invariant k are never equivalent."""
     curve = standard_curve(genus)
     by_k: dict[int, list[TwoTorsionClass]] = {}
@@ -429,7 +436,7 @@ def check_distinct_k_distinct_class(genus: int, sample: int = 40) -> str:
     ks = sorted(by_k)
     checked = 0
     for k1, k2 in itertools.combinations(ks, 2):
-        for _ in range(min(sample, len(by_k[k1]) * len(by_k[k2]))):
+        for _ in range(min(40, len(by_k[k1]) * len(by_k[k2]))):
             a = rng.choice(by_k[k1])
             b = rng.choice(by_k[k2])
             require(not is_linearly_equivalent(curve, a.beta_divisor(), b.beta_divisor()))
@@ -506,7 +513,7 @@ def check_dimension_pairs(genus: int, exhaustive: bool, reports: Reports) -> str
     return f"{len(etas)} dimension pairs all (0,0)"
 
 
-def check_index_symmetry(genus: int, trials: int = 40) -> str:
+def check_index_symmetry(genus: int) -> str:
     """The index of a bundle equals that of its twist and of its canonical
     residual whenever all of them contribute."""
     curve = standard_curve(genus)
@@ -515,7 +522,7 @@ def check_index_symmetry(genus: int, trials: int = 40) -> str:
     rng = random.Random(f"index-symmetry:{genus}")
     etas = sample_etas(curve, 2)
     checked = 0
-    for _ in range(trials):
+    for _ in range(40):
         eta = rng.choice(etas)
         degree = rng.randint(1, genus - 1)
         d = Divisor.of_points(rng.choice(points) for _ in range(degree))
@@ -543,18 +550,19 @@ def check_witness_base_disjoint(genus: int, reports: Reports) -> str:
     return f"{len(etas)} witnesses checked"
 
 
-def check_iota(genus: int, exhaustive: bool) -> str:
+def check_iota(genus: int, exhaustive: bool, reports: Reports) -> str:
     """The invariant index of the double cover is 0 for k = 1 and 2 for
-    k >= 2 (gonality 2 caps the second argument of the minimum)."""
+    k >= 2 (gonality 2 caps the second argument of the minimum), from the
+    closed form for every (or every sampled) class and from the search on
+    one class per k."""
     curve = standard_curve(genus)
     etas = _etas_for(curve, exhaustive)
     for eta in etas:
         expected = 0 if eta.k == 1 else 2
-        require(iota_invariant_index(curve, eta) == expected, f"{eta}")
+        require(closed_form_report(curve, eta).iota_cliff == expected, f"{eta}")
     sampled = sample_etas(curve, 1)
     for eta in sampled:
-        pool = list(curve.weierstrass_points)
-        require(iota_invariant_index(curve, eta, pool=pool) == (0 if eta.k == 1 else 2))
+        require(_searched(reports, eta).iota_cliff == (0 if eta.k == 1 else 2), f"{eta}")
     return f"{len(etas)} closed-form values, {len(sampled)} search values"
 
 
@@ -577,23 +585,25 @@ def check_base_points_k1(genus: int, exhaustive: bool) -> str:
     return f"{len(etas)} base-point classes, {len(others)} free classes"
 
 
-def check_k2_probe_shape(genus: int, per_k: int = 3) -> str:
+def check_k2_probe_shape(genus: int) -> str:
     """k = 2: base point free but some pair of points is not separated."""
     require(genus >= 3)
     curve = standard_curve(genus)
-    for eta in sample_etas_for_k(curve, 2, per_k):
+    etas = sample_etas_for_k(curve, 2, 3)
+    for eta in etas:
         probe = geometry_probes(curve, eta)
         require(not probe.base_points, f"{eta} has base points")
         require(probe.unseparated_pairs, f"{eta} separates all pairs")
-    return f"{per_k} classes at k=2"
+    return f"{len(etas)} classes at k=2"
 
 
-def check_k3_trisecant(genus: int, per_k: int = 3) -> str:
+def check_k3_trisecant(genus: int) -> str:
     """k = 3: the embedded curve has a trisecant line; the canonical witness
     (first three subset points) is among the degree-3 witnesses."""
     require(genus >= 5)
     curve = standard_curve(genus)
-    for eta in sample_etas_for_k(curve, 3, per_k):
+    etas = sample_etas_for_k(curve, 3, 3)
+    for eta in etas:
         probe = geometry_probes(curve, eta)
         require(probe.trisecant_witnesses, f"{eta}: no trisecant")
         require(not probe.unseparated_pairs, f"{eta}: not an embedding")
@@ -601,22 +611,22 @@ def check_k3_trisecant(genus: int, per_k: int = 3) -> str:
         require(canonical_witness in probe.trisecant_witnesses, f"{eta}: canonical witness missing")
         drop = h0(curve, eta.twist(curve.canonical_divisor() - canonical_witness))
         require(drop == genus - 3, f"{eta}: h0 drop {drop} != g-3")
-    return f"{per_k} classes at k=3"
+    return f"{len(etas)} classes at k=3"
 
 
-def check_min_secant_equals_k(genus: int, per_k: int = 3) -> str:
+def check_min_secant_equals_k(genus: int) -> str:
     """The smallest degree meeting the first secant variety is exactly k."""
     curve = standard_curve(genus)
     checked = 0
     for k in range(1, (genus + 1) // 2 + 1):
-        for eta in sample_etas_for_k(curve, k, per_k):
+        for eta in sample_etas_for_k(curve, k, 3):
             e0 = min_secant_degree(curve, eta)
             require(e0 == k, f"{eta}: e0 = {e0} != k = {k}")
             checked += 1
     return f"{checked} classes, e0 = k throughout"
 
 
-def check_secant_crosscheck(genus: int, trials: int = 60) -> str:
+def check_secant_crosscheck(genus: int) -> str:
     """Secant membership (with its built-in residual cross-check) on
     randomized effective divisors, including non-members."""
     curve = standard_curve(genus)
@@ -624,7 +634,7 @@ def check_secant_crosscheck(genus: int, trials: int = 60) -> str:
     rng = random.Random(f"secant:{genus}")
     etas = sample_etas(curve, 2)
     members = 0
-    for _ in range(trials):
+    for _ in range(60):
         eta = rng.choice(etas)
         e = rng.randint(2, max(2, genus - 1))
         d = Divisor.of_points(rng.choice(points) for _ in range(e))
@@ -633,14 +643,14 @@ def check_secant_crosscheck(genus: int, trials: int = 60) -> str:
         f = rng.randint(1, e - 1)
         if secant_membership(curve, eta, d, e, f):
             members += 1
-    return f"{trials} membership tests ({members} members), cross-check clean"
+    return f"60 membership tests ({members} members), cross-check clean"
 
 
 # ---------------------------------------------------------------------------
 # scroll checks
 
 
-def check_dj_profile(genus: int, per_k: int = 3) -> str:
+def check_dj_profile(genus: int) -> str:
     """Drop sequences: d_0 = 2, entries non-increasing past the head, sum
     g-1, first 1 at index k-1 (absent exactly when g = 2k-1), type equal to
     the closed form, and depending only on k."""
@@ -648,8 +658,9 @@ def check_dj_profile(genus: int, per_k: int = 3) -> str:
     checked = 0
     for k in range(2, (genus + 1) // 2 + 1):
         sequences = set()
-        for eta in sample_etas_for_k(curve, k, per_k):
-            drops = dj_sequence(curve, eta)
+        for eta in sample_etas_for_k(curve, k, 3):
+            report = scroll_report(curve, eta)  # raises on a closed-form type mismatch
+            drops = report.d_sequence
             require(drops[0] == 2 and sum(drops) == genus - 1)
             tail = drops[1:]
             require(
@@ -661,8 +672,7 @@ def check_dj_profile(genus: int, per_k: int = 3) -> str:
                 require(ones[0] == k - 1, f"{eta}: first 1 at {ones[0]} != k-1")
             else:
                 require(genus == 2 * k - 1, f"{eta}: no 1 in {drops} but g != 2k-1")
-            e1, e2 = scroll_type(curve, eta)  # raises on closed-form mismatch
-            require((e1, e2) == (genus - 1 - k, k - 2))
+            require((report.e1, report.e2) == (genus - 1 - k, k - 2))
             sequences.add(drops)
             checked += 1
         require(len(sequences) == 1, f"k={k}: sequences vary with the subset")
@@ -696,40 +706,28 @@ Check = tuple[str, Callable[[], str]]
 
 
 def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
-    exhaustive_to = min(genus_max, 4)
     genera = list(range(2, genus_max + 1))
     units: list[Check] = []
 
     if name == "riemann-roch":
         for g in genera:
-            trials = 500 if g <= 5 else 150
-            units.append((f"rr-identity-g{g}", partial(check_rr_identity, g, trials)))
+            units.append((f"rr-identity-g{g}", partial(check_rr_identity, g)))
             units.append((f"h0-basics-g{g}", partial(check_h0_basics, g)))
-            units.append((f"monotonicity-g{g}", partial(check_monotonicity, g, 80 if g <= 4 else 40)))
-            units.append(
-                (f"structure-theorem-g{g}", partial(check_structure_theorem, g, None if g <= 4 else 60))
-            )
-            units.append((f"basis-valuations-g{g}", partial(check_basis_valuations, g, 25 if g <= 4 else 10)))
-            units.append((f"cantor-oracle-g{g}", partial(check_cantor_oracle, g, 120 if g <= 3 else 60)))
+            units.append((f"monotonicity-g{g}", partial(check_monotonicity, g)))
+            units.append((f"structure-theorem-g{g}", partial(check_structure_theorem, g)))
+            units.append((f"basis-valuations-g{g}", partial(check_basis_valuations, g)))
+            units.append((f"cantor-oracle-g{g}", partial(check_cantor_oracle, g)))
     elif name == "two-torsion":
         for g in genera:
-            exhaustive = g <= exhaustive_to
             units.append((f"two-torsion-count-g{g}", partial(check_two_torsion_count, g)))
-            units.append(
-                (f"beta-injective-g{g}", partial(check_beta_injective, g, None if exhaustive else 25))
-            )
+            units.append((f"beta-injective-g{g}", partial(check_beta_injective, g)))
             if g % 2 == 1:
-                units.append(
-                    (f"beta-two-to-one-g{g}", partial(check_beta_two_to_one, g, None if g == 3 else 20))
-                )
-            units.append(
-                (f"group-closure-g{g}", partial(check_group_closure, g, None if g == 2 else 150))
-            )
+                units.append((f"beta-two-to-one-g{g}", partial(check_beta_two_to_one, g)))
+            units.append((f"group-closure-g{g}", partial(check_group_closure, g)))
             units.append((f"distinct-k-g{g}", partial(check_distinct_k_distinct_class, g)))
     elif name == "prym-clifford":
         for g in genera:
-            exhaustive = g <= exhaustive_to
-            searched = (g, exhaustive, reports)
+            searched = (g, g <= EXHAUSTIVE_TO, reports)
             units.append(
                 (f"search-matches-closed-g{g}", partial(check_search_matches_closed_form, *searched))
             )
@@ -738,11 +736,10 @@ def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
             units.append((f"dimension-pairs-g{g}", partial(check_dimension_pairs, *searched)))
             units.append((f"index-symmetry-g{g}", partial(check_index_symmetry, g)))
             units.append((f"witness-base-disjoint-g{g}", partial(check_witness_base_disjoint, g, reports)))
-            units.append((f"iota-g{g}", partial(check_iota, g, exhaustive)))
+            units.append((f"iota-g{g}", partial(check_iota, *searched)))
     elif name == "classification-probes":
         for g in genera:
-            exhaustive = g <= exhaustive_to
-            units.append((f"base-points-k1-g{g}", partial(check_base_points_k1, g, exhaustive)))
+            units.append((f"base-points-k1-g{g}", partial(check_base_points_k1, g, g <= EXHAUSTIVE_TO)))
             if g >= 3:
                 units.append((f"k2-shape-g{g}", partial(check_k2_probe_shape, g)))
             if g >= 5:
@@ -765,8 +762,8 @@ def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
 def run_suite(name: str, genus_max: int = 6) -> VerificationSuite:
     """Run a named suite up to the given genus ceiling.
 
-    Exhaustive class enumerations stop at genus 4; genera 5..genus_max are
-    covered on deterministic samples.  Each class is searched at most once
+    Exhaustive class enumerations stop at genus EXHAUSTIVE_TO; higher
+    genera are covered on deterministic samples.  Each class is searched at most once
     per call: the claims read one table of search reports, built here and
     dropped on return, so no report outlives the run.  The result is a pure
     function of (name, genus_max).

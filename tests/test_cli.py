@@ -63,6 +63,24 @@ def test_curve_new_rejects_duplicates(capsys):
     assert "squarefree" in err
 
 
+def test_curve_new_rejects_zero_denominator(capsys):
+    code, out, err = run_cli(capsys, "curve", "new", "--roots", "1/0,1,2,3,4")
+    assert code == 2 and out == ""
+    assert "zero denominator in '1/0'" in err
+
+
+@pytest.mark.parametrize("error", [TypeError("engine bug"), ArithmeticError("engine bug")])
+def test_engine_errors_are_not_input_errors(monkeypatch, capsys, error):
+    # only a ValueError means malformed input; anything else escapes main,
+    # so the command exits 1 with a traceback
+    def broken(genus, k):
+        raise error
+
+    monkeypatch.setattr("prymlab.cli.park_parameters", broken)
+    with pytest.raises(type(error)):
+        main(["park", "--genus", "9", "--k", "4"])
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 @pytest.mark.parametrize(
     "roots, message",

@@ -8,17 +8,19 @@ import pytest
 from prymlab import (
     CurvePoint,
     Divisor,
+    HyperellipticCurve,
     NonContributingError,
     clifford_of_divisor,
     closed_form_report,
     contributes,
     curve_with_marked_point,
+    dj_sequence,
     enumerate_two_torsion,
     geometry_probes,
     h0,
-    iota_invariant_index,
     min_secant_degree,
     riemann_roch_space,
+    scroll_report,
     search_report,
     secant_membership,
     standard_curve,
@@ -102,6 +104,41 @@ def test_closed_form_rejects_trivial():
     c = standard_curve(2)
     with pytest.raises(ValueError):
         closed_form_report(c, two_torsion_from_subset(c, []))
+
+
+def _triple(curve):
+    return Divisor.of_points(curve.weierstrass_point(f"w{i}") for i in (1, 2, 3))
+
+
+# every entry point that takes (curve, eta), with a divisor where it needs one
+ETA_ENTRY_POINTS = {
+    "closed_form_report": closed_form_report,
+    "search_report": search_report,
+    "min_secant_degree": min_secant_degree,
+    "geometry_probes": geometry_probes,
+    "dj_sequence": dj_sequence,
+    "scroll_report": scroll_report,
+    "clifford_of_divisor": lambda c, eta: clifford_of_divisor(c, eta, _triple(c)),
+    "contributes": lambda c, eta: contributes(c, eta, _triple(c)),
+    "secant_membership": lambda c, eta: secant_membership(c, eta, _triple(c), 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", ["search_report", "min_secant_degree", "geometry_probes", "dj_sequence"])
+def test_trivial_class_is_refused(name):
+    c = standard_curve(3)
+    with pytest.raises(ValueError, match="nontrivial"):
+        ETA_ENTRY_POINTS[name](c, two_torsion_from_subset(c, []))
+
+
+@pytest.mark.parametrize("name", sorted(ETA_ENTRY_POINTS))
+@pytest.mark.parametrize("foreign", ["genus 4", "other roots"])
+def test_class_of_another_curve_is_refused(name, foreign):
+    c = standard_curve(3)
+    other = standard_curve(4) if foreign == "genus 4" else HyperellipticCurve(range(7))
+    eta = two_torsion_from_subset(other, ["w1", "w2", "w3", "w4"])
+    with pytest.raises(ValueError, match="another curve"):
+        ETA_ENTRY_POINTS[name](c, eta)
 
 
 def test_search_genus2_max_degree_1():
@@ -216,14 +253,14 @@ def test_dimension_pair_excluded_shapes():
 
 def test_iota_invariant_values():
     c = standard_curve(3)
-    assert iota_invariant_index(c, _eta(c, "w1", "w2")) == 0
-    assert iota_invariant_index(c, _eta(c, "w1", "w2", "w3", "w4")) == 2
+    assert closed_form_report(c, _eta(c, "w1", "w2")).iota_cliff == 0
+    assert closed_form_report(c, _eta(c, "w1", "w2", "w3", "w4")).iota_cliff == 2
     c7 = standard_curve(7)
     eta4 = _eta(c7, *[f"w{i}" for i in range(1, 9)])  # k = 4
     assert eta4.k == 4
-    assert iota_invariant_index(c7, eta4) == 2
+    assert closed_form_report(c7, eta4).iota_cliff == 2
     # search-backed value agrees
-    assert iota_invariant_index(c, _eta(c, "w1", "w2"), pool=list(c.weierstrass_points)) == 0
+    assert search_report(c, _eta(c, "w1", "w2"), list(c.weierstrass_points)).iota_cliff == 0
 
 
 def test_secant_membership_trisecant():

@@ -7,7 +7,6 @@ from prymlab import (
     dj_sequence,
     park_parameters,
     scroll_report,
-    scroll_type,
     standard_curve,
     two_torsion_from_subset,
 )
@@ -39,7 +38,8 @@ def test_scroll_types_match_closed_form():
     cases = {(5, 2): (2, 0), (5, 3): (1, 1), (7, 4): (2, 2)}
     for (g, k), expected in cases.items():
         c = standard_curve(g)
-        assert scroll_type(c, _eta_k(c, k)) == expected
+        r = scroll_report(c, _eta_k(c, k))
+        assert (r.e1, r.e2) == expected
 
 
 def test_dj_sum_and_first_one_index_exhaustive_genus4():
@@ -54,7 +54,8 @@ def test_dj_sum_and_first_one_index_exhaustive_genus4():
         assert drops[0] == 2
         ones = [j for j, d in enumerate(drops) if d == 1]
         assert ones and ones[0] == eta.k - 1  # g=4 has no degenerate k
-        assert scroll_type(c, eta) == (c.genus - 1 - eta.k, eta.k - 2)
+        r = scroll_report(c, eta)
+        assert (r.e1, r.e2) == (c.genus - 1 - eta.k, eta.k - 2)
 
 
 def test_scroll_type_depends_only_on_k():
@@ -64,8 +65,9 @@ def test_scroll_type_depends_only_on_k():
         ["w2", "w4", "w6", "w8", "w10", "w12"],
         ["w9", "w10", "w11", "w12", "w13", "w14"],
     ]
-    types = {scroll_type(c, two_torsion_from_subset(c, s)) for s in subsets}
-    sequences = {dj_sequence(c, two_torsion_from_subset(c, s)) for s in subsets}
+    reports = [scroll_report(c, two_torsion_from_subset(c, s)) for s in subsets]
+    types = {(r.e1, r.e2) for r in reports}
+    sequences = {r.d_sequence for r in reports}
     assert types == {(2, 1)}
     assert len(sequences) == 1
 
@@ -75,7 +77,8 @@ def test_degenerate_profile_has_no_ones():
     c = standard_curve(7)
     drops = dj_sequence(c, _eta_k(c, 4))
     assert drops == (2, 2, 2)
-    assert scroll_type(c, _eta_k(c, 4)) == (2, 2)
+    r = scroll_report(c, _eta_k(c, 4))
+    assert (r.e1, r.e2) == (2, 2)
 
 
 def test_park_parameter_table():
@@ -116,6 +119,7 @@ def test_scroll_invariants():
     for g in (4, 5, 6):
         c = standard_curve(g)
         for k in range(2, (g + 1) // 2 + 1):
-            e1, e2 = scroll_type(c, _eta_k(c, k))
+            r = scroll_report(c, _eta_k(c, k))
+            e1, e2 = r.e1, r.e2
             assert e1 >= e2 >= 0
             assert e1 + e2 == g - 3
