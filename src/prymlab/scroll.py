@@ -48,10 +48,12 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     """Successive h0 drops of the twisted canonical class along the pencil.
 
     Requires k >= 2 (for k = 1 the system has base points and the scroll
-    construction does not apply).  Terminates after two consecutive zero
-    drops; trailing zeros are not reported.  d_0 = 2, every entry is in
-    {0, 1, 2} and the entries sum to g - 1; violations raise, since they can
-    only come from an engine defect.
+    construction does not apply).  Computes h0(canonical + eta - j * pencil)
+    for j = 0, 1, ... and stops at the first value 0, or at j = g-1 (degree
+    0) at the latest.  The values must start at g-1 and end at 0, d_0 must
+    be 2, and every drop must be 1 or 2: while sections are left, the moving
+    pencil removes at least one at each step.  So the drops sum to g-1, and
+    a violation raises, since it can only come from an engine defect.
     """
     _check_eta(curve, eta)
     if eta.k < 2:
@@ -61,23 +63,12 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     pencil = curve.pencil_divisor()
 
     values = [h0(curve, base)]
-    drops: list[int] = []
-    j = 0
-    zero_run = 0
-    while zero_run < 2:
-        values.append(h0(curve, base - (j + 1) * pencil))
-        d_j = values[j] - values[j + 1]
-        drops.append(d_j)
-        zero_run = zero_run + 1 if d_j == 0 else 0
-        j += 1
-
-    while drops and drops[-1] == 0:
-        drops.pop()
-    if values[0] != g - 1 or not drops or drops[0] != 2:
-        raise ScrollMismatchError(f"drop sequence {drops} should start at 2 with h0 = g-1")
-    if any(d not in (0, 1, 2) for d in drops) or sum(drops) != g - 1:
-        raise ScrollMismatchError(f"drop sequence {drops} is not a valid scroll profile")
-    return tuple(drops)
+    while values[-1] > 0 and len(values) < g:
+        values.append(h0(curve, base - len(values) * pencil))
+    drops = tuple(a - b for a, b in zip(values, values[1:]))
+    if values[0] != g - 1 or values[-1] != 0 or drops[0] != 2 or not set(drops) <= {1, 2}:
+        raise ScrollMismatchError(f"h0 values {values} along the pencil are not a scroll profile")
+    return drops
 
 
 def park_parameters(genus: int, k: int) -> tuple[int, int, int]:

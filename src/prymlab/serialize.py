@@ -68,40 +68,33 @@ def curve_from_dict(data: dict) -> HyperellipticCurve:
 # -- points and divisors ------------------------------------------------------
 
 
-def point_to_dict(point: CurvePoint, curve: HyperellipticCurve | None = None) -> dict:
-    if curve is not None:
-        label = curve.label_of(point)
-        if label is not None:
-            return {"label": label}
+def point_to_dict(point: CurvePoint, curve: HyperellipticCurve) -> dict:
+    label = curve.label_of(point)
+    if label is not None:
+        return {"label": label}
     if point.is_infinity:
         return {"at_infinity": True}
     return {"x": rational_to_str(point.x), "y": rational_to_str(point.y)}
 
 
-def point_from_dict(
-    data: Union[dict, str], curve: HyperellipticCurve | None = None
-) -> CurvePoint:
+def point_from_dict(data: Union[dict, str], curve: HyperellipticCurve) -> CurvePoint:
     if isinstance(data, str):
-        if curve is None:
-            raise ValueError("point labels need a curve context")
         return curve.weierstrass_point(data)
     if not isinstance(data, dict):
         raise ValueError(f"cannot read a point from {data!r}")
     if data.get("at_infinity"):
         return INFINITY
     if "label" in data:
-        if curve is None:
-            raise ValueError("point labels need a curve context")
         return curve.weierstrass_point(data["label"])
     if "x" in data and "y" in data:
         point = CurvePoint.affine(rational_from_str(data["x"]), rational_from_str(data["y"]))
-        if curve is not None and not curve.contains(point):
+        if not curve.contains(point):
             raise ValueError(f"point {point} is not on the curve")
         return point
     raise ValueError(f"cannot read a point from {data!r}")
 
 
-def divisor_to_dict(divisor: Divisor, curve: HyperellipticCurve | None = None) -> dict:
+def divisor_to_dict(divisor: Divisor, curve: HyperellipticCurve) -> dict:
     return {
         "terms": [
             {"point": point_to_dict(p, curve), "mult": n} for p, n in divisor
@@ -109,7 +102,7 @@ def divisor_to_dict(divisor: Divisor, curve: HyperellipticCurve | None = None) -
     }
 
 
-def divisor_from_dict(data: dict, curve: HyperellipticCurve | None = None) -> Divisor:
+def divisor_from_dict(data: dict, curve: HyperellipticCurve) -> Divisor:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise ValueError("divisor JSON needs a 'terms' list")
     terms = []
@@ -157,6 +150,10 @@ def probes_to_dict(probes: GeometryProbes, curve: HyperellipticCurve) -> dict:
 
 
 def prym_report_to_dict(report: PrymReport, curve: HyperellipticCurve) -> dict:
+    """The report's JSON, labelling points by `curve`, which must be the
+    curve of the report's class: another curve would label them wrongly."""
+    if curve != report.eta.curve:
+        raise ValueError(f"the report is of a class of another curve: {report.eta.curve!r}")
     return {
         "genus": report.genus,
         "eta": eta_to_dict(report.eta),

@@ -105,20 +105,16 @@ def require(cond: bool, msg: str = "assertion failed") -> None:
 
 
 def sample_etas_for_k(curve: HyperellipticCurve, k: int, count: int = 3) -> list[TwoTorsionClass]:
-    """Deterministic spread of `count` classes with invariant k: first,
-    evenly spaced middles, and last subset in lexicographic order."""
+    """Deterministic spread of `count` >= 2 classes with invariant k: first,
+    evenly spaced middles, and last subset in lexicographic order.  Every k
+    has at least 15 canonical subsets, more than any count asked for."""
     g = curve.genus
     n = 2 * g + 2
     combos = [
         c for c in itertools.combinations(range(1, n + 1), 2 * k)
         if _canonical_subset(curve, frozenset(c)) == frozenset(c)
     ]
-    if count >= len(combos):
-        picks = range(len(combos))
-    elif count == 1:
-        picks = [len(combos) // 2]
-    else:
-        picks = sorted({round(i * (len(combos) - 1) / (count - 1)) for i in range(count)})
+    picks = sorted({round(i * (len(combos) - 1) / (count - 1)) for i in range(count)})
     return [two_torsion_from_subset(curve, combos[i]) for i in picks]
 
 
@@ -129,8 +125,9 @@ def sample_etas(curve: HyperellipticCurve, per_k: int = 3) -> list[TwoTorsionCla
     return out
 
 
-def _etas_for(curve: HyperellipticCurve, exhaustive: bool):
-    return enumerate_two_torsion(curve) if exhaustive else sample_etas(curve)
+def _etas_for(curve: HyperellipticCurve) -> list[TwoTorsionClass]:
+    """Every class through genus EXHAUSTIVE_TO, a sample above it."""
+    return enumerate_two_torsion(curve) if curve.genus <= EXHAUSTIVE_TO else sample_etas(curve)
 
 
 Reports = dict[TwoTorsionClass, PrymReport]
@@ -326,13 +323,12 @@ def check_two_torsion_count(genus: int) -> str:
 
 def check_beta_injective(genus: int) -> str:
     """Distinct subsets of size 2k <= g give distinct classes, certified by
-    the h0 oracle pairwise: every subset through EXHAUSTIVE_TO, 25 per k
-    above."""
+    the h0 oracle pairwise: every subset through genus 4, 25 per k above."""
     curve = standard_curve(genus)
     total = 0
     for k in range(1, genus // 2 + 1):
         combos = list(itertools.combinations(range(1, 2 * genus + 3), 2 * k))
-        if genus > EXHAUSTIVE_TO:
+        if genus > 4:
             combos = random.Random(f"beta-injective:{genus}:{k}").sample(combos, 25)
         divisors = [two_torsion_from_subset(curve, c).beta_divisor() for c in combos]
         for (c1, d1), (c2, d2) in itertools.combinations(zip(combos, divisors), 2):
@@ -448,11 +444,11 @@ def check_distinct_k_distinct_class(genus: int) -> str:
 # index checks
 
 
-def check_search_matches_closed_form(genus: int, exhaustive: bool, reports: Reports) -> str:
+def check_search_matches_closed_form(genus: int, reports: Reports) -> str:
     """Full-pool search returns k-1 with dimension pair (0, 0), matching the
     closed form, for every (or every sampled) class."""
     curve = standard_curve(genus)
-    etas = _etas_for(curve, exhaustive)
+    etas = _etas_for(curve)
     for eta in etas:
         report = _searched(reports, eta)
         closed = closed_form_report(curve, eta)
@@ -464,11 +460,11 @@ def check_search_matches_closed_form(genus: int, exhaustive: bool, reports: Repo
     return f"{len(etas)} classes agree at k-1 with pair (0,0)"
 
 
-def check_zero_classification(genus: int, exhaustive: bool, reports: Reports) -> str:
+def check_zero_classification(genus: int, reports: Reports) -> str:
     """Index 0 occurs exactly for k = 1, and then the twisted canonical
     system has exactly the two subset points as base points."""
     curve = standard_curve(genus)
-    etas = _etas_for(curve, exhaustive)
+    etas = _etas_for(curve)
     zeros = 0
     for eta in etas:
         value = _searched(reports, eta).cliff_eta
@@ -481,15 +477,15 @@ def check_zero_classification(genus: int, exhaustive: bool, reports: Reports) ->
     return f"{zeros} base-point classes verified among {len(etas)}"
 
 
-def check_upper_bound_attained(genus: int, exhaustive: bool, reports: Reports) -> str:
+def check_upper_bound_attained(genus: int, reports: Reports) -> str:
     """Every index is <= floor((g-1)/2) and the ceiling is attained.
 
-    For sampled genera the ceiling certificate is a full search at maximal
-    k; the per-class values come from witness-certified closed forms.
+    Above genus EXHAUSTIVE_TO the ceiling certificate is a full search at
+    maximal k; the per-class values come from witness-certified closed forms.
     """
     curve = standard_curve(genus)
     ceiling = (genus - 1) // 2
-    if exhaustive:
+    if genus <= EXHAUSTIVE_TO:
         values = [_searched(reports, eta).cliff_eta for eta in enumerate_two_torsion(curve)]
     else:
         values = [closed_form_report(curve, eta).cliff_eta for eta in enumerate_two_torsion(curve)]
@@ -501,10 +497,10 @@ def check_upper_bound_attained(genus: int, exhaustive: bool, reports: Reports) -
     return f"max over {len(values)} classes is {ceiling}"
 
 
-def check_dimension_pairs(genus: int, exhaustive: bool, reports: Reports) -> str:
+def check_dimension_pairs(genus: int, reports: Reports) -> str:
     """The dimension pair is always (0,0): never (0, r' >= 1), never (1,1)."""
     curve = standard_curve(genus)
-    etas = _etas_for(curve, exhaustive)
+    etas = _etas_for(curve)
     for eta in etas:
         pair = _searched(reports, eta).cliff_dim
         require(pair is not None and not (pair[0] == 0 and pair[1] >= 1), f"{eta}: {pair}")
@@ -550,17 +546,18 @@ def check_witness_base_disjoint(genus: int, reports: Reports) -> str:
     return f"{len(etas)} witnesses checked"
 
 
-def check_iota(genus: int, exhaustive: bool, reports: Reports) -> str:
+def check_iota(genus: int, reports: Reports) -> str:
     """The invariant index of the double cover is 0 for k = 1 and 2 for
     k >= 2 (gonality 2 caps the second argument of the minimum), from the
     closed form for every (or every sampled) class and from the search on
-    one class per k."""
+    the middle of each k's three sampled classes, which the run's table
+    already holds."""
     curve = standard_curve(genus)
-    etas = _etas_for(curve, exhaustive)
+    etas = _etas_for(curve)
     for eta in etas:
         expected = 0 if eta.k == 1 else 2
         require(closed_form_report(curve, eta).iota_cliff == expected, f"{eta}")
-    sampled = sample_etas(curve, 1)
+    sampled = [sample_etas_for_k(curve, k)[1] for k in range(1, (genus + 1) // 2 + 1)]
     for eta in sampled:
         require(_searched(reports, eta).iota_cliff == (0 if eta.k == 1 else 2), f"{eta}")
     return f"{len(etas)} closed-form values, {len(sampled)} search values"
@@ -570,11 +567,11 @@ def check_iota(genus: int, exhaustive: bool, reports: Reports) -> str:
 # classification probes
 
 
-def check_base_points_k1(genus: int, exhaustive: bool) -> str:
+def check_base_points_k1(genus: int) -> str:
     """k = 1 classes have exactly their two subset points as base points of
     the twisted canonical system; k >= 2 classes have none."""
     curve = standard_curve(genus)
-    etas = [e for e in _etas_for(curve, exhaustive) if e.k == 1]
+    etas = [e for e in _etas_for(curve) if e.k == 1]
     others = [e for e in sample_etas(curve, 2) if e.k >= 2]
     for eta in etas:
         probe = geometry_probes(curve, eta)
@@ -727,7 +724,7 @@ def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
             units.append((f"distinct-k-g{g}", partial(check_distinct_k_distinct_class, g)))
     elif name == "prym-clifford":
         for g in genera:
-            searched = (g, g <= EXHAUSTIVE_TO, reports)
+            searched = (g, reports)
             units.append(
                 (f"search-matches-closed-g{g}", partial(check_search_matches_closed_form, *searched))
             )
@@ -739,7 +736,7 @@ def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
             units.append((f"iota-g{g}", partial(check_iota, *searched)))
     elif name == "classification-probes":
         for g in genera:
-            units.append((f"base-points-k1-g{g}", partial(check_base_points_k1, g, g <= EXHAUSTIVE_TO)))
+            units.append((f"base-points-k1-g{g}", partial(check_base_points_k1, g)))
             if g >= 3:
                 units.append((f"k2-shape-g{g}", partial(check_k2_probe_shape, g)))
             if g >= 5:
@@ -759,14 +756,14 @@ def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
     return units
 
 
-def run_suite(name: str, genus_max: int = 6) -> VerificationSuite:
+def run_suite(name: str, genus_max: int) -> VerificationSuite:
     """Run a named suite up to the given genus ceiling.
 
     Exhaustive class enumerations stop at genus EXHAUSTIVE_TO; higher
-    genera are covered on deterministic samples.  Each class is searched at most once
-    per call: the claims read one table of search reports, built here and
-    dropped on return, so no report outlives the run.  The result is a pure
-    function of (name, genus_max).
+    genera are covered on deterministic samples.  Each class is searched at
+    most once per call: the claims read one table of search reports, built
+    here and dropped on return, so no report outlives the run.  The result is
+    a pure function of (name, genus_max).
     """
     if genus_max < 2:
         raise ValueError("genus_max must be >= 2")

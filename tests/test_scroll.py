@@ -2,6 +2,7 @@
 
 import pytest
 
+from prymlab import scroll
 from prymlab import (
     ScrollMismatchError,
     dj_sequence,
@@ -32,6 +33,36 @@ def test_dj_rejects_k1():
     c = standard_curve(4)
     with pytest.raises(ValueError, match="base points"):
         dj_sequence(c, two_torsion_from_subset(c, ["w1", "w2"]))
+
+
+def test_dj_stops_within_g_calls_when_h0_never_reaches_zero(monkeypatch):
+    # h0 one too high everywhere: the walk ends at degree 0 and raises
+    c = standard_curve(5)
+    calls = []
+    real = scroll.h0
+
+    def planted(curve, divisor):
+        calls.append(divisor.degree)
+        return real(curve, divisor) + 1
+
+    monkeypatch.setattr(scroll, "h0", planted)
+    with pytest.raises(ScrollMismatchError):
+        dj_sequence(c, _eta_k(c, 2))
+    assert len(calls) <= c.genus
+
+
+def test_dj_rejects_a_zero_drop(monkeypatch):
+    # h0 values 4, 2, 2, 0 at genus 5, k = 2: drops (2, 0, 2) sum to g-1 but
+    # the pencil must remove a section at every step while any are left
+    c = standard_curve(5)
+    real = scroll.h0
+
+    def planted(curve, divisor):
+        return 2 if divisor.degree == 4 else real(curve, divisor)
+
+    monkeypatch.setattr(scroll, "h0", planted)
+    with pytest.raises(ScrollMismatchError):
+        dj_sequence(c, _eta_k(c, 2))
 
 
 def test_scroll_types_match_closed_form():

@@ -57,12 +57,10 @@ def test_point_round_trip():
     inline = point_to_dict(marked, c)
     assert inline == {"x": "0", "y": "6"}
     assert point_from_dict(inline, c) == marked
-    oo = point_from_dict({"at_infinity": True})
+    oo = point_from_dict({"at_infinity": True}, c)
     assert oo.is_infinity
     with pytest.raises(ValueError):
         point_from_dict({"x": "1", "y": "1"}, c)  # not on the curve
-    with pytest.raises(ValueError):
-        point_from_dict({"label": "w1"})  # no curve context
 
 
 def test_divisor_round_trip():
@@ -97,6 +95,15 @@ def test_prym_report_shape():
     assert data["cliff_dim"] == [0, 0]
     assert data["witnesses"] == [{"terms": [{"point": {"label": "w1"}, "mult": 1}]}]
     assert data["probes"]["base_points"] == [{"label": "w1"}, {"label": "w2"}]
+
+
+def test_prym_report_refuses_another_curve():
+    # w10 of the genus-4 curve is the base point at infinity of the genus-3
+    # class: labelled by the wrong curve, the report would contradict itself
+    c3 = standard_curve(3)
+    report = closed_form_report(c3, two_torsion_from_subset(c3, ["w1", "w8"]), include_probes=True)
+    with pytest.raises(ValueError, match="another curve"):
+        prym_report_to_dict(report, standard_curve(4))
 
 
 def test_scroll_report_shape():

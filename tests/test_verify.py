@@ -64,6 +64,25 @@ def test_each_class_is_searched_once_per_run(monkeypatch):
     assert len(calls) == len(set(calls)) == 15 + 63
 
 
+def test_iota_searches_no_class_beyond_the_search_claim(monkeypatch):
+    # genus 5 samples three classes per k; iota searches the middle one,
+    # which search-matches-closed has already put in the run's table
+    calls = []
+    real = prym.search_report
+
+    def counted(curve, eta, *args, **kwargs):
+        calls.append(eta)
+        return real(curve, eta, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "search_report", counted)
+    monkeypatch.setattr(prym, "search_report", counted)
+    reports = {}
+    verify.check_search_matches_closed_form(5, reports)
+    searched = len(calls)
+    verify.check_iota(5, reports)
+    assert len(calls) == searched
+
+
 # park_parameters replaced by a wrapper that still raises ValueError where the
 # real function does and otherwise reports nu = 99
 PLANTED_PARK_UNDER_O = """
