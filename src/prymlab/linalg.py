@@ -11,9 +11,12 @@ by leftmost column with the first nonzero row.  The reduced echelon form is
 unique, so the bases do not depend on the pivoting and identical inputs
 always give identical bases.
 
-`matrix_rank` first eliminates the leading w x w block, w = min(rows, cols)
-over the nonzero rows.  When that block has full rank it certifies the
-answer, since w <= rank <= w; otherwise the whole matrix is eliminated.
+`pivot_columns` returns the pivot columns of one forward elimination; with
+leftmost-column pivoting, the pivots inside a column prefix give the rank of
+that prefix.  `matrix_rank` first eliminates the leading w x w block,
+w = min(rows, cols) over the nonzero rows.  When that block has full rank it
+certifies the answer, since w <= rank <= w; otherwise it falls through to
+`pivot_columns` on the whole matrix.
 """
 
 from __future__ import annotations
@@ -105,6 +108,16 @@ def kernel_basis(matrix: Matrix, cols: int) -> list[list[Fraction]]:
     return basis
 
 
+def pivot_columns(matrix: Matrix, cols: int) -> list[int]:
+    """The pivot columns of one forward elimination, in increasing order.
+
+    Pivoting is by leftmost column, so the pivots that fall in the first c
+    columns are the pivots of those columns alone: their number is the rank
+    of that column prefix, for every c at once.
+    """
+    return _eliminate(_integer_rows(matrix, cols), cols, reduce=False)[0]
+
+
 def matrix_rank(matrix: Matrix, cols: int) -> int:
     """Rank by fraction-free forward elimination, exact.
 
@@ -115,4 +128,4 @@ def matrix_rank(matrix: Matrix, cols: int) -> int:
     w = min(len(rows), cols)
     if len(_eliminate([r[:w] for r in rows[:w]], w, reduce=False)[0]) == w:
         return w
-    return len(_eliminate(rows, cols, reduce=False)[0])
+    return len(pivot_columns(matrix, cols))

@@ -52,18 +52,28 @@ of a divisor into those three parts, checking each point on the curve
 once: `class_key` reads the mask off it, `riemann_roch_space` hands it to
 the one condition-matrix builder, and `jacobian.mumford_of_divisor` reads
 its Mumford pair off it.
+
+Along the pencil, D - j * 2oo for j = 0, 1, ..., one elimination gives every
+h0.  Order the columns by pole order at oo, x^i at 2i and x^i*y at 2i+2g+1,
+and let cap = 2 deg(den) + n_inf bound them.  Lowering the degree by 2 lowers
+cap by 2 and changes no row: the denominator and the vanishing orders depend
+only on the affine part.  So the condition matrix of D - j * 2oo is the
+column prefix of order at most cap - 2j of D's matrix, up to row scaling.
+With leftmost-column pivoting the pivots inside a prefix count its rank, and
+`pencil_h0s` reads each h0 as the prefix's column count minus its pivots.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .curves import CurvePoint, Divisor, HyperellipticCurve, memo_put
-from .linalg import kernel_basis, matrix_rank
+from .linalg import kernel_basis, matrix_rank, pivot_columns
 from .polynomials import ONE, Poly, poly_gcd
 from .series import series_sqrt_branch
 
@@ -365,6 +375,19 @@ def residual_key(curve: HyperellipticCurve, key: ClassKey) -> ClassKey:
     return mask, tuple((p, -n) for p, n in ordinary), 2 * curve.genus - 2 - degree
 
 
+def _class_member(curve: HyperellipticCurve, key: ClassKey):
+    """(ramification, ordinary, n_inf) of the class member that the condition
+    rows are built for: coefficient 1 at each point of the mask, the key's
+    ordinary terms, and oo taking the rest of the degree.  The ordinary
+    points are checked on the curve."""
+    mask, ordinary, degree = key
+    for p, _ in ordinary:
+        if not curve.contains(p):
+            raise ValueError(f"point {p} is not on the curve")
+    ramification = [(i + 1, 1) for i in range(2 * curve.genus + 1) if mask >> i & 1]
+    return ramification, ordinary, degree - len(ramification) - sum(n for _, n in ordinary)
+
+
 def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
     """dim L(D) for the class with this key, from the per-curve memo; a miss
     is ncols minus the rank of the condition rows built from the key."""
@@ -372,19 +395,41 @@ def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
     dim = cache.get(key)
     if dim is not None:
         return dim
-    mask, ordinary, degree = key
-    for p, _ in ordinary:
-        if not curve.contains(p):
-            raise ValueError(f"point {p} is not on the curve")
-    if degree < 0:
+    member = _class_member(curve, key)
+    if key[2] < 0:
         dim = 0
     else:
-        ramification = [(i + 1, 1) for i in range(2 * curve.genus + 1) if mask >> i & 1]
-        n_inf = degree - len(ramification) - sum(n for _, n in ordinary)
-        _, na, nb, rows = _space_matrix(curve, ramification, ordinary, n_inf)
+        _, na, nb, rows = _space_matrix(curve, *member)
         dim = na + nb - matrix_rank(rows, na + nb)
     cache[key] = dim
     return dim
+
+
+def pencil_h0s(curve: HyperellipticCurve, key: ClassKey) -> tuple[int, ...]:
+    """dim L(D - j * 2oo) for the class D with this key, for j = 0, 1, ...
+    up to the first 0, or up to j = g-1 at the latest, from one elimination.
+
+    The columns of D's condition matrix are put in pole order at oo, x^i at
+    2i and x^i*y at 2i+2g+1; the columns of D - j * 2oo are those of order
+    at most cap - 2j, a prefix, and its rows are D's rows cut to that prefix
+    up to row scaling.  The pivots of one leftmost-column elimination that
+    fall in the prefix count its rank, so each value is the prefix's column
+    count minus its pivot count.  Reads and writes no memo."""
+    ramification, ordinary, n_inf = _class_member(curve, key)
+    if key[2] < 0:
+        return (0,)
+    den, na, nb, rows = _space_matrix(curve, ramification, ordinary, n_inf)
+    cap = 2 * sum(m for _, m in den) + n_inf
+    g = curve.genus
+    order = [2 * i for i in range(na)] + [2 * j + 2 * g + 1 for j in range(nb)]
+    perm = sorted(range(na + nb), key=order.__getitem__)
+    orders = [order[c] for c in perm]
+    pivots = [orders[c] for c in pivot_columns([[row[c] for c in perm] for row in rows], na + nb)]
+    values: list[int] = []
+    while len(values) < g and (not values or values[-1] > 0):
+        top = cap - 2 * len(values)
+        values.append(bisect_right(orders, top) - bisect_right(pivots, top))
+    return tuple(values)
 
 
 def h0(curve: HyperellipticCurve, divisor: Divisor) -> int:

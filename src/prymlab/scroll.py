@@ -8,9 +8,12 @@ degree-2 pencil fibres.  The scroll type is read off the sequence
 
 via e_i = #{j : d_j >= i} - 1, and must come out as (g-1-k, k-2); the module
 asserts that equality on every run, so any drift in the h0 engine surfaces
-as a hard error rather than a wrong report.  For k >= 3 (the very-ample
-range) the scroll determines the syzygies of the embedded curve through the
-factorization type (m, b) = (g-k-1, 2k): the resolution shape parameters
+as a hard error rather than a wrong report.  Every h0 along the pencil comes
+from one elimination (`riemann_roch.pencil_h0s`, pole-ordered columns), and
+its first value is certified again by `h0`, which eliminates the same rows
+in another column order.  For k >= 3 (the very-ample range) the scroll
+determines the syzygies of the embedded curve through the factorization
+type (m, b) = (g-k-1, 2k): the resolution shape parameters
 
     nu = ceil((b-1) / (m+b-g-1)),   p = nu*(m+b-g-1) - b + 1
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from .curves import HyperellipticCurve
 from .jacobian import TwoTorsionClass
 from .prym import _check_eta
-from .riemann_roch import h0
+from .riemann_roch import class_key, h0, pencil_h0s
 
 
 class ScrollMismatchError(ArithmeticError):
@@ -48,23 +51,25 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     """Successive h0 drops of the twisted canonical class along the pencil.
 
     Requires k >= 2 (for k = 1 the system has base points and the scroll
-    construction does not apply).  Computes h0(canonical + eta - j * pencil)
-    for j = 0, 1, ... and stops at the first value 0, or at j = g-1 (degree
-    0) at the latest.  The values must start at g-1 and end at 0, d_0 must
-    be 2, and every drop must be 1 or 2: while sections are left, the moving
-    pencil removes at least one at each step.  So the drops sum to g-1, and
-    a violation raises, since it can only come from an engine defect.
+    construction does not apply).  The values h0(canonical + eta - j * pencil)
+    for j = 0, 1, ..., up to the first 0 or to j = g-1 (degree 0) at the
+    latest, come from one elimination of the j = 0 condition rows
+    (`pencil_h0s`); the first value must equal `h0` of the same class, a
+    second elimination in [a | b] column order.  The values must start at
+    g-1 and end at 0, d_0 must be 2, and every drop must be 1 or 2: while
+    sections are left, the moving pencil removes at least one at each step.
+    So the drops sum to g-1, and a violation raises, since it can only come
+    from an engine defect.
     """
     _check_eta(curve, eta)
     if eta.k < 2:
         raise ValueError("k = 1: the twisted canonical system has base points")
     g = curve.genus
     base = eta.twist(curve.canonical_divisor())
-    pencil = curve.pencil_divisor()
-
-    values = [h0(curve, base)]
-    while values[-1] > 0 and len(values) < g:
-        values.append(h0(curve, base - len(values) * pencil))
+    values = pencil_h0s(curve, class_key(curve, base))
+    certified = h0(curve, base)
+    if values[0] != certified:
+        raise ScrollMismatchError(f"h0 values {values} along the pencil start off h0 = {certified}")
     drops = tuple(a - b for a, b in zip(values, values[1:]))
     if values[0] != g - 1 or values[-1] != 0 or drops[0] != 2 or not set(drops) <= {1, 2}:
         raise ScrollMismatchError(f"h0 values {values} along the pencil are not a scroll profile")

@@ -10,8 +10,10 @@ generators from the claim id, so a suite run is a pure function of
 The six claims that read full-pool search reports (iota among them) share
 one table per run, mapping each 2-torsion class to its report: a class is
 searched the first time a claim asks for it, once per run, and the table
-dies with the run.  Each check takes its sample sizes from its genus;
-class enumerations are exhaustive through genus EXHAUSTIVE_TO.
+dies with the run.  The four claims that read geometry probes share a second
+table of the same kind, so each class is probed at most once per run.  Each
+check takes its sample sizes from its genus; class enumerations are
+exhaustive through genus EXHAUSTIVE_TO.
 
 Suite names: riemann-roch, two-torsion, prym-clifford,
 classification-probes, scroll, and all.
@@ -39,6 +41,7 @@ from .jacobian import (
     validate_mumford,
 )
 from .prym import (
+    GeometryProbes,
     PrymReport,
     clifford_of_divisor,
     closed_form_report,
@@ -139,6 +142,17 @@ def _searched(reports: Reports, eta: TwoTorsionClass) -> PrymReport:
     if eta not in reports:
         reports[eta] = search_report(eta.curve, eta)
     return reports[eta]
+
+
+Probes = dict[TwoTorsionClass, GeometryProbes]
+
+
+def _probed(probes: Probes, eta: TwoTorsionClass) -> GeometryProbes:
+    """The geometry probes of eta, probed on the first request of the run;
+    a probe that raises stores nothing, so every reader fails."""
+    if eta not in probes:
+        probes[eta] = geometry_probes(eta.curve, eta)
+    return probes[eta]
 
 
 def _random_divisor(rng: random.Random, points: Sequence, max_support: int = 4) -> Divisor:
@@ -460,7 +474,7 @@ def check_search_matches_closed_form(genus: int, reports: Reports) -> str:
     return f"{len(etas)} classes agree at k-1 with pair (0,0)"
 
 
-def check_zero_classification(genus: int, reports: Reports) -> str:
+def check_zero_classification(genus: int, reports: Reports, probes: Probes) -> str:
     """Index 0 occurs exactly for k = 1, and then the twisted canonical
     system has exactly the two subset points as base points."""
     curve = standard_curve(genus)
@@ -470,7 +484,7 @@ def check_zero_classification(genus: int, reports: Reports) -> str:
         value = _searched(reports, eta).cliff_eta
         require((value == 0) == (eta.k == 1), f"{eta}: value {value}, k {eta.k}")
         if eta.k == 1:
-            probe = geometry_probes(curve, eta)
+            probe = _probed(probes, eta)
             expected = {curve.weierstrass_point(i) for i in eta.subset}
             require(set(probe.base_points) == expected, f"{eta}: base points {probe.base_points}")
             zeros += 1
@@ -567,41 +581,41 @@ def check_iota(genus: int, reports: Reports) -> str:
 # classification probes
 
 
-def check_base_points_k1(genus: int) -> str:
+def check_base_points_k1(genus: int, probes: Probes) -> str:
     """k = 1 classes have exactly their two subset points as base points of
     the twisted canonical system; k >= 2 classes have none."""
     curve = standard_curve(genus)
     etas = [e for e in _etas_for(curve) if e.k == 1]
     others = [e for e in sample_etas(curve, 2) if e.k >= 2]
     for eta in etas:
-        probe = geometry_probes(curve, eta)
+        probe = _probed(probes, eta)
         expected = {curve.weierstrass_point(i) for i in eta.subset}
         require(set(probe.base_points) == expected, f"{eta}: {probe.base_points}")
     for eta in others:
-        require(not geometry_probes(curve, eta).base_points, f"{eta} has base points")
+        require(not _probed(probes, eta).base_points, f"{eta} has base points")
     return f"{len(etas)} base-point classes, {len(others)} free classes"
 
 
-def check_k2_probe_shape(genus: int) -> str:
+def check_k2_probe_shape(genus: int, probes: Probes) -> str:
     """k = 2: base point free but some pair of points is not separated."""
     require(genus >= 3)
     curve = standard_curve(genus)
     etas = sample_etas_for_k(curve, 2, 3)
     for eta in etas:
-        probe = geometry_probes(curve, eta)
+        probe = _probed(probes, eta)
         require(not probe.base_points, f"{eta} has base points")
         require(probe.unseparated_pairs, f"{eta} separates all pairs")
     return f"{len(etas)} classes at k=2"
 
 
-def check_k3_trisecant(genus: int) -> str:
+def check_k3_trisecant(genus: int, probes: Probes) -> str:
     """k = 3: the embedded curve has a trisecant line; the canonical witness
     (first three subset points) is among the degree-3 witnesses."""
     require(genus >= 5)
     curve = standard_curve(genus)
     etas = sample_etas_for_k(curve, 3, 3)
     for eta in etas:
-        probe = geometry_probes(curve, eta)
+        probe = _probed(probes, eta)
         require(probe.trisecant_witnesses, f"{eta}: no trisecant")
         require(not probe.unseparated_pairs, f"{eta}: not an embedding")
         canonical_witness = eta.divisor_pair().positive
@@ -702,7 +716,7 @@ def check_park_table() -> str:
 Check = tuple[str, Callable[[], str]]
 
 
-def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
+def _suite_units(name: str, genus_max: int, reports: Reports, probes: Probes) -> list[Check]:
     genera = list(range(2, genus_max + 1))
     units: list[Check] = []
 
@@ -728,7 +742,7 @@ def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
             units.append(
                 (f"search-matches-closed-g{g}", partial(check_search_matches_closed_form, *searched))
             )
-            units.append((f"zero-iff-k1-g{g}", partial(check_zero_classification, *searched)))
+            units.append((f"zero-iff-k1-g{g}", partial(check_zero_classification, *searched, probes)))
             units.append((f"bound-attained-g{g}", partial(check_upper_bound_attained, *searched)))
             units.append((f"dimension-pairs-g{g}", partial(check_dimension_pairs, *searched)))
             units.append((f"index-symmetry-g{g}", partial(check_index_symmetry, g)))
@@ -736,11 +750,11 @@ def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
             units.append((f"iota-g{g}", partial(check_iota, *searched)))
     elif name == "classification-probes":
         for g in genera:
-            units.append((f"base-points-k1-g{g}", partial(check_base_points_k1, g)))
+            units.append((f"base-points-k1-g{g}", partial(check_base_points_k1, g, probes)))
             if g >= 3:
-                units.append((f"k2-shape-g{g}", partial(check_k2_probe_shape, g)))
+                units.append((f"k2-shape-g{g}", partial(check_k2_probe_shape, g, probes)))
             if g >= 5:
-                units.append((f"k3-trisecant-g{g}", partial(check_k3_trisecant, g)))
+                units.append((f"k3-trisecant-g{g}", partial(check_k3_trisecant, g, probes)))
             units.append((f"min-secant-e0-g{g}", partial(check_min_secant_equals_k, g)))
             units.append((f"secant-crosscheck-g{g}", partial(check_secant_crosscheck, g)))
     elif name == "scroll":
@@ -750,7 +764,7 @@ def _suite_units(name: str, genus_max: int, reports: Reports) -> list[Check]:
                 units.append((f"dj-profile-g{g}", partial(check_dj_profile, g)))
     elif name == "all":
         for sub in SUITE_NAMES[:-1]:
-            units.extend(_suite_units(sub, genus_max, reports))
+            units.extend(_suite_units(sub, genus_max, reports, probes))
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     return units
@@ -760,14 +774,15 @@ def run_suite(name: str, genus_max: int) -> VerificationSuite:
     """Run a named suite up to the given genus ceiling.
 
     Exhaustive class enumerations stop at genus EXHAUSTIVE_TO; higher
-    genera are covered on deterministic samples.  Each class is searched at
-    most once per call: the claims read one table of search reports, built
-    here and dropped on return, so no report outlives the run.  The result is
-    a pure function of (name, genus_max).
+    genera are covered on deterministic samples.  Each class is searched and
+    probed at most once per call: the claims read one table of search
+    reports and one of geometry probes, built here and dropped on return, so
+    no report outlives the run.  The result is a pure function of
+    (name, genus_max).
     """
     if genus_max < 2:
         raise ValueError("genus_max must be >= 2")
-    units = _suite_units(name, genus_max, {})
+    units = _suite_units(name, genus_max, {}, {})
     started = time.perf_counter()
     checks = []
     for claim, fn in units:

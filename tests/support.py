@@ -19,6 +19,7 @@ from prymlab import (
     cantor_identity,
     cantor_negate,
     curve_with_marked_point,
+    h0,
     mumford_of_point,
     series_sqrt_branch,
 )
@@ -59,6 +60,21 @@ def mumford_point_by_point_oracle(curve: HyperellipticCurve, divisor: Divisor) -
         for _ in range(mult):
             acc = cantor_add(curve, acc, base)
     return acc
+
+
+def pencil_values_oracle(curve: HyperellipticCurve, base: Divisor) -> tuple[int, ...]:
+    """h0(base - j * pencil) for j = 0, 1, ..., up to the first 0 or to
+    j = g-1 at the latest, one `h0` on a `Divisor` per j.
+
+    Reference for `prymlab.riemann_roch.pencil_h0s`: every value is its own
+    solve of its own condition matrix, in [a | b] column order, where the
+    function under test reads all of them off one pole-ordered elimination.
+    """
+    pencil = curve.pencil_divisor()
+    values = [h0(curve, base)]
+    while values[-1] > 0 and len(values) < curve.genus:
+        values.append(h0(curve, base - len(values) * pencil))
+    return tuple(values)
 
 
 def poly_add_oracle(a: Poly, b: Poly) -> Poly:

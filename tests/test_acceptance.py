@@ -55,7 +55,7 @@ def test_criterion_2_zero_index_classification():
     """Index 0 happens exactly at k = 1, and then the twisted canonical
     system has exactly the two subset points as base points."""
     started = time.perf_counter()
-    details = [check_zero_classification(g, {}) for g in (2, 3, 4)]
+    details = [check_zero_classification(g, {}, {}) for g in (2, 3, 4)]
     _report(2, started, details)
 
 
@@ -121,8 +121,8 @@ def test_criterion_8_classification_probes():
     minimal secant degree equals k throughout."""
     started = time.perf_counter()
     details = [
-        check_k2_probe_shape(5),
-        check_k3_trisecant(5),
+        check_k2_probe_shape(5, {}),
+        check_k3_trisecant(5, {}),
         check_min_secant_equals_k(5),
     ]
     # the headline trisecant value g - 3 = 2, spelled out

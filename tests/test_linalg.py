@@ -120,6 +120,17 @@ def test_matches_gauss_jordan_oracle_on_seeded_matrices():
         assert matrix_rank(as_ints, cols) == gauss_jordan_oracle(as_ints, cols)[1]
 
 
+def test_pivots_in_a_column_prefix_count_its_rank():
+    rng = random.Random("pivot-prefixes")
+    for _ in range(300):
+        matrix, cols = _seeded_matrix(rng)
+        pivots = linalg.pivot_columns(matrix, cols)
+        assert pivots == sorted(set(pivots))
+        for c in range(cols + 1):
+            prefix = [row[:c] for row in matrix]
+            assert sum(p < c for p in pivots) == gauss_jordan_oracle(prefix, c)[1], (matrix, c)
+
+
 def test_rank_falls_through_a_singular_leading_block():
     # Leading w x w block singular (w = min(rows, cols)): the block cannot
     # certify the rank, which is w or less depending on the other entries.
@@ -185,6 +196,7 @@ def recorded_matrices(monkeypatch):
 
     monkeypatch.setattr(riemann_roch, "kernel_basis", recording(kernel_basis))
     monkeypatch.setattr(riemann_roch, "matrix_rank", recording(matrix_rank))
+    monkeypatch.setattr(riemann_roch, "pivot_columns", recording(linalg.pivot_columns))
     return seen
 
 
@@ -193,6 +205,7 @@ def _check_against_oracle(seen):
     for matrix, cols in seen:
         basis, rank = gauss_jordan_oracle(matrix, cols)
         assert matrix_rank(matrix, cols) == rank
+        assert len(linalg.pivot_columns(matrix, cols)) == rank
         assert kernel_basis(matrix, cols) == basis
 
 

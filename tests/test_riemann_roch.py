@@ -27,10 +27,11 @@ from prymlab import (
     two_torsion_from_subset,
     valuation,
 )
-from prymlab.riemann_roch import class_h0, class_key, residual_key, twisted_key
+from prymlab.riemann_roch import class_h0, class_key, pencil_h0s, residual_key, twisted_key
 from support import (
     gauss_jordan_oracle,
     marked_curves,
+    pencil_values_oracle,
     random_weierstrass_divisor,
     shifted_marked_curve,
     space_matrix_oracle,
@@ -420,6 +421,47 @@ def test_warm_class_key_still_rejects_off_curve_ramification_point():
     bad = d + Divisor(((CurvePoint.affine(10, 0), 2), (INFINITY, -2)))
     with pytest.raises(ValueError):
         h0(c, bad)
+
+
+@pytest.mark.parametrize("genus", [4, 5])
+def test_pencil_h0s_match_the_oracle_on_every_class(genus):
+    c = standard_curve(genus)
+    canonical = c.canonical_divisor()
+    for eta in enumerate_two_torsion(c):
+        if eta.k >= 2:
+            base = eta.twist(canonical)
+            assert pencil_h0s(c, class_key(c, base)) == pencil_values_oracle(c, base), str(eta)
+
+
+def test_pencil_h0s_match_the_oracle_on_seeded_genus13_classes():
+    rng = random.Random("pencil-h0s:13")
+    for _ in range(3):
+        c = HyperellipticCurve(rng.sample(range(-39, 40), 27))
+        canonical = c.canonical_divisor()
+        for _ in range(10):
+            eta = two_torsion_from_subset(c, rng.sample(range(1, 29), 2 * rng.randint(2, 7)))
+            base = eta.twist(canonical)
+            assert pencil_h0s(c, class_key(c, base)) == pencil_values_oracle(c, base), str(eta)
+
+
+def test_pencil_h0s_match_class_h0_with_ordinary_terms():
+    # P and conj(P) put nonzero b-parts into the rows, which only the pole
+    # order of the columns makes into prefixes; x0 = 1/3 scales the rows
+    curve, marked = shifted_marked_curve()
+    g = curve.genus
+    affine = curve.weierstrass_points[:-1]
+    rng = random.Random("pencil-h0s:ordinary")
+    nonzero = (-3, -2, -1, 1, 2, 3)
+    for _ in range(150):
+        terms = [(w, rng.choice(nonzero)) for w in rng.sample(affine, rng.randint(0, len(affine)))]
+        terms += [(marked, rng.choice(nonzero)), (marked.conjugate(), rng.choice(nonzero))]
+        terms.append((INFINITY, rng.randint(-1, 2 * g + 2) - sum(n for _, n in terms)))
+        mask, ordinary, degree = key = class_key(curve, Divisor(terms))
+        assert len(ordinary) == 2
+        expected: list[int] = []
+        while len(expected) < g and (not expected or expected[-1] > 0):
+            expected.append(class_h0(curve, (mask, ordinary, degree - 2 * len(expected))))
+        assert pencil_h0s(curve, key) == tuple(expected), str(key)
 
 
 def _oracle_divisors(rng, curve, marked, count):

@@ -1,9 +1,12 @@
 """Drop sequences, scroll types, and resolution-shape parameters."""
 
+import random
+
 import pytest
 
-from prymlab import scroll
+from prymlab import linalg, scroll
 from prymlab import (
+    HyperellipticCurve,
     ScrollMismatchError,
     dj_sequence,
     park_parameters,
@@ -55,14 +58,48 @@ def test_dj_rejects_a_zero_drop(monkeypatch):
     # h0 values 4, 2, 2, 0 at genus 5, k = 2: drops (2, 0, 2) sum to g-1 but
     # the pencil must remove a section at every step while any are left
     c = standard_curve(5)
+    monkeypatch.setattr(scroll, "pencil_h0s", lambda curve, key: (4, 2, 2, 0))
+    with pytest.raises(ScrollMismatchError):
+        dj_sequence(c, _eta_k(c, 2))
+
+
+def test_dj_raises_after_one_h0_call_when_h0_is_off(monkeypatch):
+    # the first value along the pencil is certified by h0 of the same class
+    c = standard_curve(5)
+    calls = []
     real = scroll.h0
 
     def planted(curve, divisor):
-        return 2 if divisor.degree == 4 else real(curve, divisor)
+        calls.append(divisor)
+        return real(curve, divisor) + 1
 
     monkeypatch.setattr(scroll, "h0", planted)
     with pytest.raises(ScrollMismatchError):
         dj_sequence(c, _eta_k(c, 2))
+    assert len(calls) == 1
+
+
+def test_genus13_report_runs_two_eliminations_and_one_h0_call(monkeypatch):
+    # one elimination for the whole pencil profile, one for the h0 certificate
+    rng = random.Random("scroll-cost")
+    c = HyperellipticCurve(rng.sample(range(-39, 40), 27))  # a fresh, empty memo
+    eliminations, h0_calls = [], []
+    real_eliminate, real_h0 = linalg._eliminate, scroll.h0
+
+    def eliminate(*args, **kwargs):
+        eliminations.append(args[1])
+        return real_eliminate(*args, **kwargs)
+
+    def counted_h0(curve, divisor):
+        h0_calls.append(divisor)
+        return real_h0(curve, divisor)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(scroll, "h0", counted_h0)
+    report = scroll_report(c, two_torsion_from_subset(c, range(1, 9)))
+    assert (report.e1, report.e2) == (8, 2)
+    assert len(eliminations) == 2
+    assert len(h0_calls) == 1
 
 
 def test_scroll_types_match_closed_form():

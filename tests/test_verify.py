@@ -64,6 +64,23 @@ def test_each_class_is_searched_once_per_run(monkeypatch):
     assert len(calls) == len(set(calls)) == 15 + 63
 
 
+def test_each_class_is_probed_once_per_run(monkeypatch):
+    # zero-iff-k1 and base-points-k1 read the same k = 1 classes, k2-shape
+    # and base-points-k1 share sampled k = 2 classes: one probe each
+    calls = []
+    real = prym.geometry_probes
+
+    def counted(curve, eta):
+        calls.append((curve.genus, eta))
+        return real(curve, eta)
+
+    monkeypatch.setattr(verify, "geometry_probes", counted)
+    monkeypatch.setattr(prym, "geometry_probes", counted)
+    suite = run_suite("all", 4)
+    assert suite.failed == 0
+    assert len(calls) == len(set(calls)) == 94
+
+
 def test_iota_searches_no_class_beyond_the_search_claim(monkeypatch):
     # genus 5 samples three classes per k; iota searches the middle one,
     # which search-matches-closed has already put in the run's table
