@@ -15,8 +15,8 @@ always give identical bases.
 leftmost-column pivoting, the pivots inside a column prefix give the rank of
 that prefix.  `matrix_rank` first eliminates the leading w x w block,
 w = min(rows, cols) over the nonzero rows.  When that block has full rank it
-certifies the answer, since w <= rank <= w; otherwise it falls through to
-`pivot_columns` on the whole matrix.
+certifies the answer, since w <= rank <= w; otherwise the rows it has
+already converted are eliminated whole.
 """
 
 from __future__ import annotations
@@ -128,4 +128,4 @@ def matrix_rank(matrix: Matrix, cols: int) -> int:
     w = min(len(rows), cols)
     if len(_eliminate([r[:w] for r in rows[:w]], w, reduce=False)[0]) == w:
         return w
-    return len(pivot_columns(matrix, cols))
+    return len(_eliminate(rows, cols, reduce=False)[0])

@@ -1,16 +1,21 @@
 """Dense univariate polynomial arithmetic over the rationals.
 
 Everything in this package is exact over Q, so there is never a tolerance
-to tune.  A polynomial stores its coefficients as a tuple of
-`fractions.Fraction`s, densely, coefficient index = monomial degree, with
-trailing zeros stripped; the zero polynomial has an empty coefficient tuple
-and degree -1.
+to tune.  A polynomial is stored as integer numerators over one positive
+denominator,
+
+    p = (n_0 + n_1 x + ... + n_d x^d) / den,
+
+index = monomial degree, with trailing zero numerators stripped and den
+coprime to the content gcd(n_0, ..., n_d).  Each polynomial has exactly one
+such pair, so equality and hashing compare the pair; the zero polynomial is
+((), 1), of degree -1.
 
 The ring kernels (add, subtract, multiply, divide, evaluate and expand at a
-point) do not loop over `Fraction`s.  Each operand is written once as
-integer numerators over one common denominator, the lcm of its
-coefficients' denominators; the loop runs on Python ints, and each output
-coefficient becomes one reduced `Fraction` at the end.
+point) run on the numerators as Python ints, and each result is reduced
+with one gcd; no `Fraction` is built on the way.  `coeffs`, the tuple of
+`Fraction` coefficients n_i / den, is a read-only view, built on first use
+and kept.
 """
 
 from __future__ import annotations
@@ -59,39 +64,45 @@ def as_fraction(value: Coefficient) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def _ints(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(numerators, den): the coefficients as integers over their lcm."""
-    dens = [c.denominator for c in coeffs]
-    den = lcm(*dens)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+_set = object.__setattr__
 
 
-def _poly(nums: list[int], den: int) -> "Poly":
-    """The polynomial sum nums[i]/den x^i, one reduced Fraction per term."""
-    while nums and not nums[-1]:
-        nums.pop()
+def _make(nums: tuple[int, ...], den: int) -> "Poly":
+    """A Poly from numerators and a denominator already in reduced form."""
     out = object.__new__(Poly)
-    if den == 1:
-        object.__setattr__(out, "coeffs", tuple(map(Fraction, nums)))
-    else:
-        object.__setattr__(out, "coeffs", tuple([Fraction(n, den) for n in nums]))
+    _set(out, "numerators", nums)
+    _set(out, "denominator", den)
     return out
 
 
-def _pseudo_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Integer pseudo-division of a by b, len(a) >= len(b).
+def _poly(nums: list[int], den: int) -> "Poly":
+    """The polynomial sum nums[i]/den x^i, den != 0, reduced: trailing zeros
+    stripped, then one gcd divided out of den and the numerators, signed so
+    that the denominator comes out positive."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if den != 1:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return _make(tuple(nums), den)
+
+
+def _pseudo_divmod(a: "Poly", b: "Poly"):
+    """Integer pseudo-division of a by b, deg a >= deg b.
 
     With a = A/da and b = B/db over integer A, B, returns (Q, R, s, da, db)
     such that s*A = Q*B + R and deg R < deg B.  Before each elimination step
     the working remainder and quotient are multiplied by lead(B)/gcd(c,
     lead(B)), c the coefficient to eliminate, so s divides lead(B)^e with
     e = deg a - deg b + 1.  Then a = (Q db / (s da)) b + R / (s da)."""
-    if not b:
+    dv = b.numerators
+    if not dv:
         raise ZeroDivisionError("division by the zero polynomial")
-    rem, da = _ints(a)
-    dv, db = _ints(b)
+    rem = list(a.numerators)
     dd = len(dv) - 1
     lead = dv[-1]
     low = dv[:dd]
@@ -113,22 +124,22 @@ def _pseudo_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
         quot[base] = q
         rem[base:i] = [r - q * d for r, d in zip(rem[base:i], low)]
     del rem[dd:]
-    return quot, rem, s, da, db
+    return quot, rem, s, a.denominator, b.denominator
 
 
-def _shift_ints(coeffs: Sequence[Fraction], x0: Fraction) -> tuple[list[int], int, int, int]:
-    """(m, p, q, den) with x0 = p/q and m[i] = n[i] q^(N-1-i), where the
-    coefficients are n[i]/den over integers and N = len(coeffs): so that
-    q^(N-1) den f(X/q) = sum m[i] X^i, and f's expansion at x0 is that of
-    sum m[i] X^i at X = p, coefficient l divided by den q^(N-1-l)."""
-    nums, den = _ints(coeffs)
+def _shift_ints(poly: "Poly", x0: Fraction) -> tuple[list[int], int, int]:
+    """(m, p, q) with x0 = p/q and m[i] = n[i] q^(N-1-i), where n are the
+    numerators of poly over its denominator den and N = len(n): so that
+    q^(N-1) den poly(X/q) = sum m[i] X^i, and poly's expansion at x0 is that
+    of sum m[i] X^i at X = p, coefficient l divided by den q^(N-1-l)."""
+    nums = list(poly.numerators)
     p, q = x0.numerator, x0.denominator
     if q != 1:
         qpow = 1
         for i in range(len(nums) - 1, -1, -1):
             nums[i] *= qpow
             qpow *= q
-    return nums, p, q, den
+    return nums, p, q
 
 
 def _synthetic_step(m: list[int], start: int, p: int) -> int:
@@ -143,29 +154,54 @@ def _synthetic_step(m: list[int], start: int, p: int) -> int:
 
 
 class Poly:
-    """Immutable dense polynomial with Fraction coefficients."""
+    """Immutable dense polynomial over Q.
 
-    __slots__ = ("coeffs",)
+    `numerators` (a tuple of ints, no trailing zero) over `denominator` (an
+    int > 0, coprime to the numerators' gcd) is the one stored form; see the
+    module docstring.  `coeffs` is the `Fraction` view of it.  `Poly(coeffs)`
+    reads each coefficient through `as_fraction`."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("numerators", "denominator", "_coeffs")
+
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __init__(self, coeffs: Iterable[Coefficient] = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # the lcm of reduced denominators is already coprime to the content
+        den = lcm(*[c.denominator for c in cs])
+        _set(self, "numerators", tuple([c.numerator * (den // c.denominator) for c in cs]))
+        _set(self, "denominator", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as `Fraction`s, index = monomial degree: a view
+        of numerators / denominator, built on first use and kept."""
+        try:
+            return self._coeffs
+        except AttributeError:  # not built yet
+            den = self.denominator
+            cs = tuple([Fraction(n, den) for n in self.numerators])
+            _set(self, "_coeffs", cs)
+            return cs
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_roots(cls, roots: Sequence[Coefficient]) -> "Poly":
         """The monic polynomial prod (x - r) over the given roots."""
-        out = cls((1,))
+        out = ONE
         for r in roots:
-            out = out * cls((-as_fraction(r), 1))
+            r = as_fraction(r)
+            out = out * _make((-r.numerator, r.denominator), r.denominator)
         return out
 
     # -- basic queries ------------------------------------------------
@@ -173,35 +209,35 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at the sentinel value -1."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.numerators:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.numerators) and self.numerators[-1] == self.denominator
 
     # -- ring operations ----------------------------------------------
 
     def _add(self, other: "Poly", sign: int) -> "Poly":
         """self + sign * other over the lcm of the two denominators."""
-        if not other.coeffs:
+        b, db = other.numerators, other.denominator
+        if not b:
             return self
-        a, da = _ints(self.coeffs)
-        b, db = _ints(other.coeffs)
+        a, da = self.numerators, self.denominator
         den = lcm(da, db)
         ka, kb = den // da, sign * (den // db)
-        if len(a) < len(b):
-            a += [0] * (len(b) - len(a))
         out = [x * ka for x in a]
+        if len(out) < len(b):
+            out += [0] * (len(b) - len(out))
         for i, y in enumerate(b):
             out[i] += y * kb
         return _poly(out, den)
@@ -210,7 +246,7 @@ class Poly:
         return self._add(other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _make(tuple([-n for n in self.numerators]), self.denominator)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self._add(other, -1)
@@ -218,23 +254,22 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.numerators, other.numerators
+        if not a or not b:
             return ZERO
-        a, da = _ints(self.coeffs)
-        b, db = _ints(other.coeffs)
         out = [0] * (len(a) + len(b) - 1)
         nb = len(b)
         for i, x in enumerate(a):
             if x:
                 out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
-        return _poly(out, da * db)
+        return _poly(out, self.denominator * other.denominator)
 
     def __rmul__(self, other) -> "Poly":
         return self.__mul__(other)
 
     def scale(self, c: Coefficient) -> "Poly":
         c = as_fraction(c)
-        return Poly(tuple(c * a for a in self.coeffs))
+        return _poly([n * c.numerator for n in self.numerators], self.denominator * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -253,13 +288,13 @@ class Poly:
         deg remainder < deg divisor, by integer pseudo-division."""
         if self.degree < other.degree:
             return ZERO, self
-        quot, rem, s, da, db = _pseudo_divmod(self.coeffs, other.coeffs)
+        quot, rem, s, da, db = _pseudo_divmod(self, other)
         return _poly([x * db for x in quot], s * da), _poly(rem, s * da)
 
     def __mod__(self, other: "Poly") -> "Poly":
         if self.degree < other.degree:
             return self
-        _, rem, s, da, _ = _pseudo_divmod(self.coeffs, other.coeffs)
+        _, rem, s, da, _ = _pseudo_divmod(self, other)
         return _poly(rem, s * da)
 
     def exact_div(self, other: "Poly") -> "Poly":
@@ -272,22 +307,21 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
             return self
-        nums, _ = _ints(self.coeffs)
-        return _poly(nums, nums[-1])
+        return _poly(list(self.numerators), self.numerators[-1])
 
     # -- evaluation and local expansion --------------------------------
 
     def evaluate(self, x0: Coefficient) -> Fraction:
-        m, p, q, den = _shift_ints(self.coeffs, as_fraction(x0))
+        m, p, q = _shift_ints(self, as_fraction(x0))
         if not m:
             return Fraction(0)
-        return Fraction(_synthetic_step(m, 0, p), den * q ** (len(m) - 1))
+        return Fraction(_synthetic_step(m, 0, p), self.denominator * q ** (len(m) - 1))
 
     def multiplicity_at(self, x0: Coefficient) -> int:
         """Vanishing order at x0 (0 if p(x0) != 0; raises on the zero poly)."""
         if self.is_zero:
             raise ValueError("the zero polynomial vanishes everywhere")
-        m, p, _, _ = _shift_ints(self.coeffs, as_fraction(x0))
+        m, p, _ = _shift_ints(self, as_fraction(x0))
         mult = 0
         while not _synthetic_step(m, mult, p):
             mult += 1
@@ -297,8 +331,8 @@ class Poly:
         """First nterms coefficients of the expansion in powers of (x - x0):
         coefficient l is sum_i n_i C(i, l) p^(i-l) q^(N-1-i) / (den q^(N-1-l))
         for x0 = p/q, computed by integer synthetic division by (X - p)."""
-        m, p, q, den = _shift_ints(self.coeffs, as_fraction(x0))
-        n = len(m)
+        m, p, q = _shift_ints(self, as_fraction(x0))
+        n, den = len(m), self.denominator
         out = [
             Fraction(_synthetic_step(m, l, p), den * q ** (n - 1 - l))
             for l in range(min(nterms, n))
@@ -308,16 +342,20 @@ class Poly:
     # -- comparison / hashing / display --------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Poly)
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.numerators:
             return "0"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -336,8 +374,8 @@ class Poly:
         return "".join(parts)
 
 
-ZERO = Poly()
-ONE = Poly((1,))
+ZERO = _make((), 1)
+ONE = _make((1,), 1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -348,17 +386,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: (g, s, t) with s*a + t*b = g and g monic."""
+    """Extended Euclid: (g, s, t) with s*a + t*b = g and g monic.
+
+    Only the cofactor s of a is carried through the remainder sequence;
+    t = (g - s*a) / b is then one exact division (t = 0 when b = 0)."""
     r0, r1 = a, b
     s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
     if r0.is_zero:
         return ZERO, ZERO, ZERO
-    lead = r0.leading_coefficient
-    inv = 1 / lead
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    inv = 1 / r0.leading_coefficient
+    g, s = r0.scale(inv), s0.scale(inv)
+    return g, s, ZERO if b.is_zero else (g - s * a).exact_div(b)

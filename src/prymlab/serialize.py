@@ -4,12 +4,18 @@ JSON is the single on-disk format.  Exact rationals travel as strings,
 plain decimal for integers and "num/den" otherwise, so nothing is ever
 rounded.  All emitters order keys and list entries canonically: re-encoding
 the same object is byte-identical.
+
+`dumps_canonical` writes that JSON itself.  Its bytes are, and must stay,
+those of `json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True)`
+plus a newline; `json` is not called for them because any `indent` makes
+it fall back from its C encoder to its pure-Python one, which cost about a
+quarter of a `cliff --mode search` run.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Union
 
 from .curves import INFINITY, CurvePoint, Divisor, HyperellipticCurve
@@ -182,5 +188,53 @@ def scroll_report_to_dict(report: ScrollReport) -> dict:
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline,
+    byte for byte `json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=True) + "\\n"` (see the module docstring); strings are
+    quoted by json's C `encode_basestring_ascii`.  Only what the package
+    emits is written: dicts with str keys, lists, str, int, bool and None.
+    Anything else (a float, a tuple, a set, a non-str key) is a TypeError."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj: Any, out: list[str], newline: str) -> None:
+    """Append the JSON of obj to out, its lines indented as `newline`'s."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"a JSON key must be a str, not {key!r}")
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"not written as canonical JSON: {obj!r}")

@@ -130,6 +130,26 @@ def poly_divmod_oracle(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(quot), Poly(rem[:dd])
 
 
+def poly_xgcd_oracle(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, s, t) with s*a + t*b = g, g monic, by extended Euclid carrying
+    both cofactors through every step.
+
+    Reference for `prymlab.poly_xgcd`, which carries s alone and gets t by
+    one exact division."""
+    r0, r1 = a, b
+    s0, s1 = Poly((1,)), Poly()
+    t0, t1 = Poly(), Poly((1,))
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero:
+        return Poly(), Poly(), Poly()
+    inv = 1 / r0.leading_coefficient
+    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+
+
 def synthetic_division_oracle(a: Poly, x0: Fraction) -> tuple[Poly, Fraction]:
     """Divide by (x - x0) in Fraction arithmetic: (quotient, remainder)."""
     cs = a.coeffs

@@ -163,6 +163,20 @@ def test_rank_falls_through_a_singular_leading_block():
     assert ranks[True] > 50 and ranks[False] > 50
 
 
+def test_rank_converts_the_rows_once_through_a_singular_leading_block(monkeypatch):
+    calls = []
+    integer_rows = linalg._integer_rows
+
+    def counting(matrix, cols):
+        calls.append(cols)
+        return integer_rows(matrix, cols)
+
+    monkeypatch.setattr(linalg, "_integer_rows", counting)
+    # the leading 2 x 2 block [[1, 2], [2, 4]] is singular; column 3 is not
+    assert matrix_rank([[1, 2, 3], [2, 4, Fraction(5, 2)]], 3) == 2
+    assert calls == [3]
+
+
 def test_integer_rows_are_used_as_they_are():
     row, mixed = [3, 0, -2], [Fraction(1, 2), 1, 0]
     rows = linalg._integer_rows([row, [0, 0, 0], mixed], 3)

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +16,7 @@ from support import (
     poly_divmod_oracle,
     poly_mul_oracle,
     poly_sub_oracle,
+    poly_xgcd_oracle,
     taylor_oracle,
 )
 
@@ -122,8 +124,14 @@ def _random_x0(rng: random.Random) -> Fraction:
 
 
 def _assert_canonical(p: Poly) -> None:
+    """The one stored form: integer numerators, no trailing zero, over a
+    positive denominator coprime to their content; `coeffs` its view."""
+    nums, den = p.numerators, p.denominator
+    assert type(nums) is tuple and all(type(n) is int for n in nums), nums
+    assert not nums or nums[-1] != 0
+    assert type(den) is int and den > 0 and gcd(den, *nums) == 1, (nums, den)
     assert all(type(c) is Fraction for c in p.coeffs), p.coeffs
-    assert not p.coeffs or p.coeffs[-1] != 0
+    assert p.coeffs == tuple(Fraction(n, den) for n in nums)
 
 
 def test_add_sub_mul_match_fraction_oracle():
@@ -229,3 +237,56 @@ def test_strings_within_the_digit_bound_are_read_exactly():
     assert as_fraction("1e4000") == 10**4000
     assert as_fraction("-25e-2") == Fraction(-1, 4)
     assert as_fraction("3" * MAX_STRING_DIGITS) == int("3" * MAX_STRING_DIGITS)
+
+
+def test_xgcd_matches_two_cofactor_oracle():
+    rng = random.Random(1004)
+    x = Poly((0, 1))
+    cases = [
+        (Poly(), Poly()),
+        (Poly(), _random_poly(rng, 5) + x),
+        (_random_poly(rng, 5) + x, Poly()),
+        (Poly((Fraction(-3, 4),)), Poly((5,))),
+        (Poly((Fraction(2, 9),)), _random_poly(rng, 4) + x),
+    ]
+    for _ in range(300):
+        a, b = _random_poly(rng, 6), _random_poly(rng, 6)
+        if rng.random() < 0.4:  # a shared factor, so g is not 1
+            common = _random_poly(rng, 3)
+            a, b = a * common, b * common
+        cases.append((a, b))
+    shared = 0
+    for a, b in cases:
+        got = poly_xgcd(a, b)
+        for p in got:
+            _assert_canonical(p)
+        assert got == poly_xgcd_oracle(a, b), (a, b)
+        g, s, t = got
+        assert s * a + t * b == g
+        shared += g.degree > 0
+    assert shared > 50
+
+
+def test_one_stored_form_however_built():
+    half_x = Poly((0, Fraction(2, 4)))
+    ways = [half_x, Poly(("0", "1/2")), Poly((0, 1)) * Poly((Fraction(1, 2),))]
+    assert ways[0] == ways[1] == ways[2]
+    assert len({hash(p) for p in ways}) == 1
+    for p in ways:
+        _assert_canonical(p)
+        assert (p.numerators, p.denominator) == ((0, 1), 2)
+    assert (Poly().numerators, Poly().denominator) == ((), 1)
+    # a product whose content cancels the denominator: (x/2 + 1/2) * 2 = x + 1
+    assert Poly((Fraction(1, 2), Fraction(1, 2))).scale(2).denominator == 1
+    assert Poly((Fraction(-1, 3), Fraction(-2, 3))).monic() == Poly((Fraction(1, 2), 1))
+
+
+@pytest.mark.parametrize("attr", ["numerators", "denominator", "coeffs", "_coeffs", "other"])
+def test_poly_attributes_cannot_be_written(attr):
+    p = Poly((1, Fraction(1, 2)))
+    assert p.coeffs == (1, Fraction(1, 2))  # the view is built and kept
+    with pytest.raises(AttributeError):
+        setattr(p, attr, (1,))
+    with pytest.raises(AttributeError):
+        delattr(p, attr)
+    assert p == Poly((1, Fraction(1, 2))) and p.coeffs == (1, Fraction(1, 2))

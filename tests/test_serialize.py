@@ -1,11 +1,13 @@
 """JSON round trips and canonical encoding."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from prymlab import Divisor, curve_with_marked_point, standard_curve, two_torsion_from_subset
-from prymlab.prym import closed_form_report
+from prymlab import cli
+from prymlab.prym import closed_form_report, search_report
 from prymlab.scroll import scroll_report
 from prymlab.serialize import (
     curve_from_dict,
@@ -129,3 +131,66 @@ def test_dumps_canonical_is_deterministic():
     b = dumps_canonical(prym_report_to_dict(closed_form_report(c, eta), c))
     assert a == b
     assert a.endswith("\n")
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+
+
+AWKWARD_STRINGS = [
+    "",
+    'a "quoted" word',
+    "back\\slash",
+    "".join(map(chr, range(32))) + "\x7f",
+    "caf\u00e9 \u03b7-twist \u4e2d",
+    "line\u2028separator\u2029",
+    "astral \U0001d4aa \U0001f600",
+]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"empty": {}, "none": [], "nested": [{}, []]},
+        {"a": {"b": [{"c": [[{"d": [1, {"e": None}]}]]}]}},
+        AWKWARD_STRINGS,
+        {text: text for text in AWKWARD_STRINGS},
+        [-1, 0, 7, -(10**40), True, False, None],
+        {"z": 1, "a": 2, "M": 3, "\u00e9": 4, "aa": [True, {"b": False, "a": None}]},
+        "top-level string",
+        -3,
+        None,
+    ],
+)
+def test_dumps_canonical_is_byte_identical_to_json_dumps(obj):
+    assert dumps_canonical(obj) == _json_dumps(obj)
+
+
+def test_dumps_canonical_is_byte_identical_on_reports():
+    curve, marked = curve_with_marked_point(4)
+    eta = two_torsion_from_subset(curve, ["w1", "w2", "w3", "w4"])
+    pool = list(curve.weierstrass_points) + [marked, marked.conjugate()]
+    search = prym_report_to_dict(search_report(curve, eta, pool=pool, include_probes=True), curve)
+    assert search["probes"] is not None and search["witnesses"]
+    c5 = standard_curve(5)
+    scroll = scroll_report_to_dict(scroll_report(c5, two_torsion_from_subset(c5, ["w1", "w2", "w3", "w4"])))
+    for payload in (search, scroll, curve_to_dict(curve)):
+        assert dumps_canonical(payload) == _json_dumps(payload)
+
+
+def test_dumps_canonical_is_byte_identical_on_the_verify_payload(capsys):
+    assert cli.main(["verify", "all", "--genus-max", "3"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["checks"] and payload["failed"] == 0
+    assert dumps_canonical(payload) == _json_dumps(payload) == out
+
+
+@pytest.mark.parametrize(
+    "obj", [1.5, {"x": 0.0}, (1, 2), [[1], (2,)], {1, 2}, {1: "a"}, {"a": {2: "b"}}, Fraction(1, 2)]
+)
+def test_dumps_canonical_refuses_what_the_package_never_emits(obj):
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
