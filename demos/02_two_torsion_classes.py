@@ -9,6 +9,7 @@ every twisted invariant in this package.
 from collections import Counter
 
 from prymlab import (
+    Divisor,
     cantor_add,
     enumerate_two_torsion,
     is_linearly_equivalent,
@@ -38,12 +39,14 @@ print(
 )
 print(f"every class is an involution: {all(x.combine(x).is_trivial for x in classes)}")
 
-# The divisor-pair writing splits the subset into k positive and k negative
-# points; both writings of the class are linearly equivalent.
+# Splitting the subset into its first k points (positive) and last k
+# points (negative) writes the class another way; the two writings differ
+# by the principal divisors 2w - 2oo, so they are linearly equivalent.
 eta = two_torsion_from_subset(curve, ["w1", "w3", "w5", "w7"])
-pair = eta.divisor_pair()
-print(f"\n{eta}: positive {pair.positive}, negative {pair.negative}")
+points = [curve.weierstrass_point(i) for i in sorted(eta.subset)]
+positive, negative = Divisor.of_points(points[: eta.k]), Divisor.of_points(points[eta.k :])
+print(f"\n{eta}: positive {positive}, negative {negative}")
 print(
     "pair writing ~ beta writing: "
-    f"{is_linearly_equivalent(curve, pair.positive - pair.negative, eta.beta_divisor())}"
+    f"{is_linearly_equivalent(curve, positive - negative, eta.beta_divisor())}"
 )

@@ -25,7 +25,7 @@ curve = standard_curve(3)
 
 # One bundle by hand: eta from four points, d = w1 + w2.
 eta = [e for e in enumerate_two_torsion(curve) if e.k == 2][0]
-d = eta.divisor_pair().positive
+d = closed_form_report(curve, eta).witness
 print(f"eta = {eta}, d = {d}")
 print(f"h0(d) = {h0(curve, d)}, h0(d twisted) = {h0(curve, eta.twist(d))}")
 print(f"index of the bundle: {clifford_of_divisor(curve, eta, d)}")

@@ -8,6 +8,7 @@ The minimal degree e with a divisor on the first secant variety is k.
 """
 
 from prymlab import (
+    closed_form_report,
     enumerate_two_torsion,
     geometry_probes,
     min_secant_degree,
@@ -33,6 +34,6 @@ for k in (1, 2, 3):
 # Secant membership is a single h0 inequality, cross-checked internally
 # against the residual form.
 eta = by_k[3]
-witness = eta.divisor_pair().positive
+witness = closed_form_report(curve, eta).witness
 print(f"\n{witness} on the first degree-3 secant variety: "
       f"{secant_membership(curve, eta, witness, e=3, f=1)}")

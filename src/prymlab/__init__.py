@@ -20,7 +20,6 @@ from .curves import (
     standard_curve,
 )
 from .jacobian import (
-    EtaDivisorPair,
     MumfordClass,
     TwoTorsionClass,
     cantor_add,
@@ -72,7 +71,6 @@ __all__ = [
     "CurveFunction",
     "CurvePoint",
     "Divisor",
-    "EtaDivisorPair",
     "GeometryProbes",
     "HyperellipticCurve",
     "MumfordClass",

@@ -148,15 +148,6 @@ def mumford_of_divisor(curve: HyperellipticCurve, divisor: Divisor) -> MumfordCl
 
 
 @dataclass(frozen=True)
-class EtaDivisorPair:
-    """A 2-torsion class written as (positive part) - (negative part): two
-    disjoint effective sums of k distinct ramification points each."""
-
-    positive: Divisor
-    negative: Divisor
-
-
-@dataclass(frozen=True)
 class TwoTorsionClass:
     """A 2-torsion class in canonical subset form.
 
@@ -190,28 +181,14 @@ class TwoTorsionClass:
         top = 2 * self.curve.genus + 1
         return sum(1 << (i - 1) for i in self.subset if i <= top)
 
-    def divisor_pair(self) -> EtaDivisorPair:
-        """Split the canonical subset into first-k and last-k points; any
-        split gives the same class since doubled ramification points move
-        into the pencil."""
-        if self.is_trivial:
-            raise ValueError("the trivial class has no divisor pair")
-        indices = sorted(self.subset)
-        k = len(indices) // 2
-        pos = Divisor.of_points(self.curve.weierstrass_point(i) for i in indices[:k])
-        neg = Divisor.of_points(self.curve.weierstrass_point(i) for i in indices[k:])
-        return EtaDivisorPair(pos, neg)
-
     def beta_divisor(self) -> Divisor:
         """The degree-0 writing sum_{affine w in S} w - #(affine) * oo."""
         return subset_divisor(self.curve, self.subset)
 
     def twist(self, divisor: Divisor) -> Divisor:
-        """divisor + positive - negative: a representative of the eta-twist."""
-        if self.is_trivial:
-            return divisor
-        pair = self.divisor_pair()
-        return divisor + pair.positive - pair.negative
+        """divisor + beta: a representative of the eta-twist, of the same
+        degree, whose odd affine-ramification mask is divisor's XOR `mask`."""
+        return divisor + self.beta_divisor()
 
     def mumford(self) -> MumfordClass:
         """Reduced Mumford form: u the product of (x - r) over the affine

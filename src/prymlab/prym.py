@@ -144,7 +144,7 @@ def closed_form_report(
     h0 oracle before returning."""
     _check_eta(curve, eta)
     k = eta.k
-    witness = eta.divisor_pair().positive
+    witness = Divisor.of_points(curve.weierstrass_point(i) for i in sorted(eta.subset)[:k])
     value = clifford_of_divisor(curve, eta, witness)
     if value != k - 1:
         raise ArithmeticError(

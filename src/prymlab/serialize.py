@@ -62,12 +62,13 @@ def curve_to_dict(curve: HyperellipticCurve) -> dict:
 def curve_from_dict(data: dict) -> HyperellipticCurve:
     if not isinstance(data, dict) or not isinstance(data.get("roots"), list):
         raise ValueError("curve JSON needs a 'roots' list")
+    genus = data.get("genus")
+    if "genus" in data and (isinstance(genus, bool) or not isinstance(genus, int)):
+        raise ValueError(f"curve JSON 'genus' must be an integer, not {genus!r}")
     roots = [rational_from_str(r) for r in data["roots"]]
     curve = HyperellipticCurve(roots)
-    if "genus" in data and data["genus"] != curve.genus:
-        raise ValueError(
-            f"curve JSON claims genus {data['genus']} but the roots give {curve.genus}"
-        )
+    if "genus" in data and genus != curve.genus:
+        raise ValueError(f"curve JSON claims genus {genus} but the roots give {curve.genus}")
     return curve
 
 
@@ -88,7 +89,10 @@ def point_from_dict(data: Union[dict, str], curve: HyperellipticCurve) -> CurveP
         return curve.weierstrass_point(data)
     if not isinstance(data, dict):
         raise ValueError(f"cannot read a point from {data!r}")
-    if data.get("at_infinity"):
+    at_infinity = data.get("at_infinity", False)
+    if not isinstance(at_infinity, bool):
+        raise ValueError(f"'at_infinity' must be true or false, not {at_infinity!r}")
+    if at_infinity:
         return INFINITY
     if "label" in data:
         return curve.weierstrass_point(data["label"])

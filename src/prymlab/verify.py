@@ -618,7 +618,7 @@ def check_k3_trisecant(genus: int, probes: Probes) -> str:
         probe = _probed(probes, eta)
         require(probe.trisecant_witnesses, f"{eta}: no trisecant")
         require(not probe.unseparated_pairs, f"{eta}: not an embedding")
-        canonical_witness = eta.divisor_pair().positive
+        canonical_witness = closed_form_report(curve, eta).witness
         require(canonical_witness in probe.trisecant_witnesses, f"{eta}: canonical witness missing")
         drop = h0(curve, eta.twist(curve.canonical_divisor() - canonical_witness))
         require(drop == genus - 3, f"{eta}: h0 drop {drop} != g-3")

@@ -128,7 +128,7 @@ def test_criterion_8_classification_probes():
     # the headline trisecant value g - 3 = 2, spelled out
     c = standard_curve(5)
     eta = [e for e in enumerate_two_torsion(c) if e.k == 3][0]
-    witness = eta.divisor_pair().positive
+    witness = closed_form_report(c, eta).witness
     assert h0(c, eta.twist(c.canonical_divisor() - witness)) == 2
     _report(8, started, details)
 

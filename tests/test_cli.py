@@ -280,6 +280,34 @@ def test_h0_rejects_label_of_wrong_type(tmp_path, capsys, label):
     assert "bad Weierstrass label" in err
 
 
+@pytest.mark.parametrize("flag", [1, 2.0, "yes", [0], 0, None])
+def test_h0_rejects_at_infinity_that_is_not_a_bool(tmp_path, capsys, flag):
+    term = {"point": {"at_infinity": flag, "label": "w1"}, "mult": 1}
+    code, out, err = _h0_with_divisor(tmp_path, capsys, {"terms": [term]})
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'at_infinity' must be true or false")
+
+
+def test_h0_reads_other_keys_when_at_infinity_is_false(tmp_path, capsys):
+    # w1 - oo has h0 = 0; read as oo - oo it would have h0 = 1
+    terms = [
+        {"point": {"at_infinity": False, "label": "w1"}, "mult": 1},
+        {"point": {"at_infinity": True}, "mult": -1},
+    ]
+    code, out, _ = _h0_with_divisor(tmp_path, capsys, {"terms": terms})
+    assert code == 0
+    assert json.loads(out) == {"degree": 0, "h0": 0}
+
+
+@pytest.mark.parametrize("genus, shown", [(2.0, "2.0"), ("2", "'2'"), (True, "True")])
+def test_curve_rejects_genus_that_is_not_an_integer(tmp_path, capsys, genus, shown):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps({"roots": ["1", "2", "3", "4", "5"], "genus": genus}))
+    code, out, err = run_cli(capsys, "eta", "list", "--curve", str(curve_file))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: curve JSON 'genus' must be an integer, not {shown}")
+
+
 @pytest.mark.parametrize("roots", ["12345", {"1": 2}])
 def test_curve_rejects_roots_that_are_not_a_list(tmp_path, capsys, roots):
     curve_file = tmp_path / "curve.json"

@@ -16,6 +16,7 @@ from prymlab import (
     cantor_add,
     cantor_identity,
     cantor_negate,
+    closed_form_report,
     curve_with_marked_point,
     enumerate_two_torsion,
     is_linearly_equivalent,
@@ -150,8 +151,10 @@ def test_trivial_class():
     c = standard_curve(2)
     eta = two_torsion_from_subset(c, [])
     assert eta.is_trivial
-    with pytest.raises(ValueError):
-        eta.divisor_pair()
+    with pytest.raises(ValueError, match="no invariant k"):
+        eta.k
+    d = Divisor.of_points([c.weierstrass_point("w1"), c.weierstrass_point("w3")])
+    assert eta.twist(d) == d
 
 
 def test_odd_cardinality_rejected():
@@ -229,29 +232,31 @@ def test_two_torsion_order_two_in_jacobian():
         assert cantor_add(c, m, m) == cantor_identity()
 
 
+def _pair_writing(curve, eta):
+    """A second writing of eta, the oracle for `twist`: the canonical
+    subset's first k points minus its last k points."""
+    points = [curve.weierstrass_point(i) for i in sorted(eta.subset)]
+    return Divisor.of_points(points[: eta.k]), Divisor.of_points(points[eta.k :])
+
+
 def test_pair_and_beta_writings_equivalent():
     c = standard_curve(3)
+    d = Divisor.of_points([c.weierstrass_point("w2")]) + 2 * Divisor.of_point(c.infinity)
     for eta in enumerate_two_torsion(c)[::7]:
-        pair = eta.divisor_pair()
-        assert is_linearly_equivalent(c, pair.positive - pair.negative, eta.beta_divisor())
+        positive, negative = _pair_writing(c, eta)
+        assert is_linearly_equivalent(c, eta.twist(d), d + positive - negative), eta
 
 
 def test_eta_canonical_k_splits():
     c5 = standard_curve(5)
     eta = two_torsion_from_subset(c5, ["w1", "w2"])
-    pair = eta.divisor_pair()
     assert eta.k == 1
-    assert pair.positive == Divisor.of_point(c5.weierstrass_point("w1"))
-    assert pair.negative == Divisor.of_point(c5.weierstrass_point("w2"))
+    assert closed_form_report(c5, eta).witness == Divisor.of_point(c5.weierstrass_point("w1"))
 
     eta = two_torsion_from_subset(c5, ["w1", "w2", "w3", "w4"])
-    pair = eta.divisor_pair()
     assert eta.k == 2
-    assert pair.positive == Divisor.of_points(
+    assert closed_form_report(c5, eta).witness == Divisor.of_points(
         [c5.weierstrass_point("w1"), c5.weierstrass_point("w2")]
-    )
-    assert pair.negative == Divisor.of_points(
-        [c5.weierstrass_point("w3"), c5.weierstrass_point("w4")]
     )
 
     assert two_torsion_from_subset(c5, ["w1", "w2", "w3", "w4", "w5", "w6"]).k == 3
@@ -262,9 +267,12 @@ def test_subsets_through_infinity():
     c = standard_curve(2)
     eta = two_torsion_from_subset(c, ["w1", "w6"])
     assert eta.k == 1
-    pair = eta.divisor_pair()
-    assert pair.negative == Divisor.of_point(c.infinity)
-    assert is_linearly_equivalent(c, pair.positive - pair.negative, eta.beta_divisor())
+    w1 = Divisor.of_point(c.weierstrass_point("w1"))
+    assert eta.beta_divisor() == w1 - Divisor.of_point(c.infinity)
+    positive, negative = _pair_writing(c, eta)
+    assert negative == Divisor.of_point(c.infinity)
+    d = 3 * Divisor.of_point(c.infinity)
+    assert is_linearly_equivalent(c, eta.twist(d), d + positive - negative)
 
 
 def test_distinct_k_classes_distinct():

@@ -55,12 +55,14 @@ def test_dj_stops_within_g_calls_when_h0_never_reaches_zero(monkeypatch):
 
 
 def test_dj_rejects_a_zero_drop(monkeypatch):
-    # h0 values 4, 2, 2, 0 at genus 5, k = 2: drops (2, 0, 2) sum to g-1 but
-    # the pencil must remove a section at every step while any are left
+    # genus 5, k = 2.  4, 2, 2, 0: drops (2, 0, 2) sum to g-1 but the pencil
+    # must remove a section at every step while any are left.  4, 3, 2, 1, 0:
+    # every drop is 1, so only d_0 = 2 rejects it
     c = standard_curve(5)
-    monkeypatch.setattr(scroll, "pencil_h0s", lambda curve, key: (4, 2, 2, 0))
-    with pytest.raises(ScrollMismatchError):
-        dj_sequence(c, _eta_k(c, 2))
+    for values in [(4, 2, 2, 0), (4, 3, 2, 1, 0)]:
+        monkeypatch.setattr(scroll, "pencil_h0s", lambda curve, key: values)
+        with pytest.raises(ScrollMismatchError):
+            dj_sequence(c, _eta_k(c, 2))
 
 
 def test_dj_raises_after_one_h0_call_when_h0_is_off(monkeypatch):
