@@ -36,4 +36,4 @@ for k in (1, 2, 3):
 eta = by_k[3]
 witness = closed_form_report(curve, eta).witness
 print(f"\n{witness} on the first degree-3 secant variety: "
-      f"{secant_membership(curve, eta, witness, e=3, f=1)}")
+      f"{secant_membership(curve, eta, witness, f=1)}")

@@ -246,10 +246,14 @@ class HyperellipticCurve:
 
     def point(self, x: Coefficient, y: Coefficient) -> CurvePoint:
         """The affine point (x, y); rejected unless y^2 = f(x) exactly."""
-        p = CurvePoint.affine(x, y)
-        if not self.contains(p):
-            raise ValueError(f"({p.x}, {p.y}) does not satisfy y^2 = f(x)")
-        return p
+        return self.checked(CurvePoint.affine(x, y))
+
+    def checked(self, point: CurvePoint) -> CurvePoint:
+        """The point itself; a ValueError unless it lies on the curve.  The
+        one place a point off the curve is refused."""
+        if not self.contains(point):
+            raise ValueError(f"point {point} is not on the curve y^2 = f(x)")
+        return point
 
     def contains(self, point: CurvePoint) -> bool:
         """y^2 = f(x) exactly.  Points that pass are remembered through
@@ -313,7 +317,7 @@ class HyperellipticCurve:
         """D split into (label index, n) pairs at the affine Weierstrass
         points, (point, n) terms at the ordinary points, both in divisor
         order, and the coefficient of oo.  Each point is checked once: a
-        Weierstrass point by its label, any other by `contains`."""
+        Weierstrass point by its label, any other by `checked`."""
         ramification, ordinary, n_inf = [], [], 0
         for p, n in divisor:
             idx = self._label_of_point.get(p)
@@ -321,10 +325,8 @@ class HyperellipticCurve:
                 n_inf = n
             elif idx is not None:
                 ramification.append((idx, n))
-            elif self.contains(p):
-                ordinary.append((p, n))
             else:
-                raise ValueError(f"point {p} is not on the curve")
+                ordinary.append((self.checked(p), n))
         return ramification, ordinary, n_inf
 
     # -- identity ------------------------------------------------------------

@@ -99,8 +99,7 @@ def mumford_of_point(curve: HyperellipticCurve, point: CurvePoint) -> MumfordCla
     """The class of (point - oo)."""
     if point.is_infinity:
         return cantor_identity()
-    if not curve.contains(point):
-        raise ValueError(f"point {point} is not on the curve")
+    curve.checked(point)
     return MumfordClass(Poly((-point.x, 1)), Poly((point.y,)))
 
 
@@ -152,7 +151,7 @@ class TwoTorsionClass:
     """A 2-torsion class in canonical subset form.
 
     `subset` is the canonical even subset of label indices 1..2g+2
-    (cardinality <= g+1; lexicographic tiebreak at exactly g+1).  The empty
+    (cardinality <= g+1; the half holding w1 at exactly g+1).  The empty
     subset is the trivial class.
     """
 
@@ -222,13 +221,24 @@ def subset_divisor(curve: HyperellipticCurve, labels: Iterable[Union[int, str]])
 
 
 def _canonical_subset(curve: HyperellipticCurve, subset: frozenset[int]) -> frozenset[int]:
+    """The side of {subset, complement} with at most g+1 labels; at exactly
+    g+1 each, the side holding w1."""
     n = 2 * curve.genus + 2
-    if len(subset) * 2 > n:
+    if len(subset) * 2 > n or (len(subset) * 2 == n and 1 not in subset):
         return frozenset(range(1, n + 1)) - subset
-    if len(subset) * 2 == n:
-        complement = frozenset(range(1, n + 1)) - subset
-        return min(subset, complement, key=sorted)
     return subset
+
+
+def canonical_subsets(curve: HyperellipticCurve, k: int) -> list[tuple[int, ...]]:
+    """The canonical subsets of 2k labels, 1 <= k <= (g+1)/2, in
+    lexicographic order: every one below g+1 labels, and at g+1 those
+    holding w1."""
+    n = 2 * curve.genus + 2
+    if not 1 <= 2 * k <= n // 2:
+        raise ValueError(f"k must be in 1..{n // 4}")
+    if 4 * k == n:
+        return [(1, *c) for c in itertools.combinations(range(2, n + 1), 2 * k - 1)]
+    return list(itertools.combinations(range(1, n + 1), 2 * k))
 
 
 def two_torsion_from_subset(
@@ -249,13 +259,9 @@ def two_torsion_from_subset(
 def enumerate_two_torsion(curve: HyperellipticCurve) -> list[TwoTorsionClass]:
     """All 2^{2g} - 1 nontrivial classes, each exactly once, in canonical
     form, ordered by k then lexicographically."""
-    g = curve.genus
-    n = 2 * g + 2
-    out: list[TwoTorsionClass] = []
-    for k in range(1, (g + 1) // 2 + 1):
-        for combo in itertools.combinations(range(1, n + 1), 2 * k):
-            subset = frozenset(combo)
-            if _canonical_subset(curve, subset) == subset:
-                out.append(TwoTorsionClass(curve, subset))
-    return out
+    return [
+        TwoTorsionClass(curve, frozenset(subset))
+        for k in range(1, (curve.genus + 1) // 2 + 1)
+        for subset in canonical_subsets(curve, k)
+    ]
 

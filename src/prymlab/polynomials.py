@@ -14,8 +14,7 @@ such pair, so equality and hashing compare the pair; the zero polynomial is
 The ring kernels (add, subtract, multiply, divide, evaluate and expand at a
 point) run on the numerators as Python ints, and each result is reduced
 with one gcd; no `Fraction` is built on the way.  `coeffs`, the tuple of
-`Fraction` coefficients n_i / den, is a read-only view, built on first use
-and kept.
+`Fraction` coefficients n_i / den, is a read-only view, built on each read.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ class Poly:
     module docstring.  `coeffs` is the `Fraction` view of it.  `Poly(coeffs)`
     reads each coefficient through `as_fraction`."""
 
-    __slots__ = ("numerators", "denominator", "_coeffs")
+    __slots__ = ("numerators", "denominator")
 
     numerators: tuple[int, ...]
     denominator: int
@@ -184,14 +183,9 @@ class Poly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as `Fraction`s, index = monomial degree: a view
-        of numerators / denominator, built on first use and kept."""
-        try:
-            return self._coeffs
-        except AttributeError:  # not built yet
-            den = self.denominator
-            cs = tuple([Fraction(n, den) for n in self.numerators])
-            _set(self, "_coeffs", cs)
-            return cs
+        of numerators / denominator, built on each read."""
+        den = self.denominator
+        return tuple([Fraction(n, den) for n in self.numerators])
 
     # -- constructors -------------------------------------------------
 
@@ -358,8 +352,9 @@ class Poly:
         if not self.numerators:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        coeffs = self.coeffs
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:

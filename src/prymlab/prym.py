@@ -167,12 +167,9 @@ def _normalised_pool(
 ) -> tuple[tuple[CurvePoint, ...], str, bool]:
     if pool is None:
         return curve.weierstrass_points, "weierstrass", True
-    points = sorted(set(pool), key=CurvePoint.sort_key)
+    points = [curve.checked(p) for p in sorted(set(pool), key=CurvePoint.sort_key)]
     if not points:
         raise ValueError("search pool must be nonempty")
-    for p in points:
-        if not curve.contains(p):
-            raise ValueError(f"pool point {p} is not on the curve")
     covers = set(curve.weierstrass_points) <= set(points)
     return tuple(points), f"custom({len(points)} points)", covers
 
@@ -208,8 +205,8 @@ def search_report(
     for degree in range(1, max_degree + 1):
         for combo, cls in point_classes(curve, points, degree):
             sections = class_h0(curve, cls)
-            if sections < 1:
-                continue
+            if sections < 1:  # 1 is in L(D) for every effective D
+                raise ArithmeticError(f"h0 {sections} of an effective divisor: engine bug")
             twisted = class_h0(curve, twisted_key(curve, cls, eta_mask))
             if twisted < 1:
                 continue
@@ -241,19 +238,20 @@ def search_report(
 
 
 def secant_membership(
-    curve: HyperellipticCurve, eta: TwoTorsionClass, d: Divisor, e: int, f: int
+    curve: HyperellipticCurve, eta: TwoTorsionClass, d: Divisor, f: int
 ) -> bool:
-    """Does the effective degree-e divisor d lie on the secant variety of
-    the twisted canonical system that drops f conditions?
+    """Does the effective divisor d, of degree e, lie on the secant variety
+    of the twisted canonical system that drops f conditions?
 
     Tested as twisted h0(d) >= f and cross-checked against the equivalent
     condition h0(canonical + eta - d) >= g - 1 - e + f.
     """
     _check_curve(curve, eta)
+    if not d.is_effective:
+        raise ValueError("d must be effective")
+    e = d.degree
     if not (1 <= f < e):
-        raise ValueError("need 1 <= f < e")
-    if not d.is_effective or d.degree != e:
-        raise ValueError("d must be effective of degree e")
+        raise ValueError(f"need 1 <= f < deg d = {e}")
     g = curve.genus
     direct = h0(curve, eta.twist(d)) >= f
     residual = h0(curve, eta.twist(curve.canonical_divisor() - d)) >= g - 1 - e + f

@@ -188,10 +188,7 @@ def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -
             vals.append(-2 * b.degree - (2 * g + 1))
         return min(vals) + 2 * den.degree
 
-    if not curve.contains(point):
-        raise ValueError(f"point {point} is not on the curve")
-
-    x0 = point.x
+    x0 = curve.checked(point).x
     if point.is_weierstrass:
         vals = []
         if not a.is_zero:
@@ -382,8 +379,7 @@ def _class_member(curve: HyperellipticCurve, key: ClassKey):
     points are checked on the curve."""
     mask, ordinary, degree = key
     for p, _ in ordinary:
-        if not curve.contains(p):
-            raise ValueError(f"point {p} is not on the curve")
+        curve.checked(p)
     ramification = [(i + 1, 1) for i in range(2 * curve.genus + 1) if mask >> i & 1]
     return ramification, ordinary, degree - len(ramification) - sum(n for _, n in ordinary)
 

@@ -97,10 +97,7 @@ def point_from_dict(data: Union[dict, str], curve: HyperellipticCurve) -> CurveP
     if "label" in data:
         return curve.weierstrass_point(data["label"])
     if "x" in data and "y" in data:
-        point = CurvePoint.affine(rational_from_str(data["x"]), rational_from_str(data["y"]))
-        if not curve.contains(point):
-            raise ValueError(f"point {point} is not on the curve")
-        return point
+        return curve.point(rational_from_str(data["x"]), rational_from_str(data["y"]))
     raise ValueError(f"cannot read a point from {data!r}")
 
 

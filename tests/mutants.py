@@ -3,9 +3,10 @@
 Each entry names a file under src/prymlab, an exact text that occurs there
 once, the text that replaces it, and a note: the first test that kills
 the mutant in a `-x` run, or why the mutant is equivalent and cannot be
-killed.  To run one, apply the edit to a copy of the repository and run
-the tier-1 suite there with `-x --ignore=tests/test_mutants.py`; a killed
-mutant fails it.  `tests/test_mutants.py` checks that every old text still
+killed.  `python tests/run_mutants.py` applies each edit to a copy of the
+repository and runs the tier-1 suite there with `-x
+--ignore=tests/test_mutants.py`; a killed mutant fails it.
+`tests/test_mutants.py` checks that every old text still
 occurs exactly once, so an edit of the source that moves a mutant's site
 shows up as a failing test, not as a silent no-op; every mutant fails that
 check, which is why a mutant run leaves it out.  The list only grows: a
@@ -103,5 +104,47 @@ MUTANTS = (
         "return divisor - self.beta_divisor()",
         "equivalent: 2 * beta is principal, so d - beta and d + beta are one class, "
         "of one degree and with the same odd ramification coefficients",
+    ),
+    Mutant(
+        "poly-unreduced",
+        "polynomials.py",
+        "g = gcd(den, *nums)",
+        "g = 1",
+        "killed: tests/test_acceptance.py::test_criterion_9_engine_soundness",
+    ),
+    Mutant(
+        "json-keys-unsorted",
+        "serialize.py",
+        "for key in sorted(obj):",
+        "for key in obj:",
+        "killed: tests/test_cli.py::test_cli_output_matches_golden_digest[verify-all-g3]",
+    ),
+    Mutant(
+        "xgcd-cofactor-sign",
+        "polynomials.py",
+        "(g - s * a).exact_div(b)",
+        "(s * a - g).exact_div(b)",
+        "killed: tests/test_jacobian.py::test_mumford_of_divisor_matches_point_by_point_oracle[genus2]",
+    ),
+    Mutant(
+        "rank-fallback-cut-rows",
+        "linalg.py",
+        "return len(_eliminate(rows, cols, reduce=False)[0])",
+        "return len(_eliminate([r[:w] for r in rows], w, reduce=False)[0])",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[engine]",
+    ),
+    Mutant(
+        "checked-never-refuses",
+        "curves.py",
+        "if not self.contains(point):",
+        "if False:",
+        "killed: tests/test_cli.py::test_h0_rejects_point_off_the_curve",
+    ),
+    Mutant(
+        "search-skips-sectionless-combination",
+        "prym.py",
+        'raise ArithmeticError(f"h0 {sections} of an effective divisor: engine bug")',
+        "continue",
+        "killed: tests/test_prym.py::test_search_refuses_an_effective_combination_without_sections",
     ),
 )

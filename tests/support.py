@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -338,3 +339,27 @@ def random_weierstrass_divisor(rng: random.Random, curve: HyperellipticCurve,
             n = rng.randint(-2, 3)
         terms.append((p, n))
     return Divisor(terms)
+
+
+def canonical_subset_oracle(genus: int, subset: frozenset[int]) -> frozenset[int]:
+    """The side of {subset, complement} with at most g+1 labels, and at
+    exactly g+1 each the one whose sorted labels come first."""
+    n = 2 * genus + 2
+    full = frozenset(range(1, n + 1))
+    if len(subset) * 2 > n:
+        return full - subset
+    if len(subset) * 2 == n:
+        return min(subset, full - subset, key=sorted)
+    return subset
+
+
+def two_torsion_enumeration_oracle(genus: int) -> list[frozenset[int]]:
+    """Every canonical nontrivial subset, by k, then lexicographically: all
+    subsets of 2k labels filtered through `canonical_subset_oracle`."""
+    n = 2 * genus + 2
+    return [
+        frozenset(combo)
+        for k in range(1, (genus + 1) // 2 + 1)
+        for combo in itertools.combinations(range(1, n + 1), 2 * k)
+        if canonical_subset_oracle(genus, frozenset(combo)) == frozenset(combo)
+    ]

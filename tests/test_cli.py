@@ -272,6 +272,13 @@ def test_h0_rejects_float_point_coordinate(tmp_path, capsys):
     assert "not an exact rational" in err
 
 
+def test_h0_rejects_point_off_the_curve(tmp_path, capsys):
+    term = {"point": {"x": "1/3", "y": "5"}, "mult": 1}
+    code, out, err = _h0_with_divisor(tmp_path, capsys, {"terms": [term]})
+    assert code == 2 and out == ""
+    assert err == "error: point (1/3, 5) is not on the curve y^2 = f(x)\n"
+
+
 @pytest.mark.parametrize("label", [2.0, [1], None, True])
 def test_h0_rejects_label_of_wrong_type(tmp_path, capsys, label):
     term = {"point": {"label": label}, "mult": 1}

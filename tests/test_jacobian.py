@@ -26,11 +26,14 @@ from prymlab import (
     two_torsion_from_subset,
     validate_mumford,
 )
+from prymlab.jacobian import canonical_subsets
 from support import (
+    canonical_subset_oracle,
     marked_curves,
     mumford_point_by_point_oracle,
     random_weierstrass_divisor,
     shifted_marked_curve,
+    two_torsion_enumeration_oracle,
 )
 
 
@@ -192,6 +195,23 @@ def test_enumeration_counts():
         classes = enumerate_two_torsion(standard_curve(g))
         assert len(classes) == count
         assert len(set(classes)) == count
+
+
+@pytest.mark.parametrize("genus", range(2, 7))
+def test_canonical_subsets_match_the_lexicographic_rule(genus):
+    c = standard_curve(genus)
+    n = 2 * genus + 2
+    for size in range(0, n + 1, 2):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            subset = frozenset(combo)
+            assert two_torsion_from_subset(c, combo).subset == canonical_subset_oracle(genus, subset)
+    expected = two_torsion_enumeration_oracle(genus)
+    assert [eta.subset for eta in enumerate_two_torsion(c)] == expected
+    ks = range(1, (genus + 1) // 2 + 1)
+    assert [frozenset(s) for k in ks for s in canonical_subsets(c, k)] == expected
+    for k in (0, ks[-1] + 1):
+        with pytest.raises(ValueError):
+            canonical_subsets(c, k)
 
 
 def test_genus3_k_histogram():

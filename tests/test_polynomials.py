@@ -284,7 +284,7 @@ def test_one_stored_form_however_built():
 @pytest.mark.parametrize("attr", ["numerators", "denominator", "coeffs", "_coeffs", "other"])
 def test_poly_attributes_cannot_be_written(attr):
     p = Poly((1, Fraction(1, 2)))
-    assert p.coeffs == (1, Fraction(1, 2))  # the view is built and kept
+    assert p.coeffs == (1, Fraction(1, 2))
     with pytest.raises(AttributeError):
         setattr(p, attr, (1,))
     with pytest.raises(AttributeError):

@@ -26,6 +26,8 @@ from prymlab import (
     standard_curve,
     two_torsion_from_subset,
 )
+from prymlab import prym
+from prymlab.riemann_roch import class_key
 
 
 def _eta(curve, *labels):
@@ -120,7 +122,7 @@ ETA_ENTRY_POINTS = {
     "scroll_report": scroll_report,
     "clifford_of_divisor": lambda c, eta: clifford_of_divisor(c, eta, _triple(c)),
     "contributes": lambda c, eta: contributes(c, eta, _triple(c)),
-    "secant_membership": lambda c, eta: secant_membership(c, eta, _triple(c), 3, 1),
+    "secant_membership": lambda c, eta: secant_membership(c, eta, _triple(c), 1),
 }
 
 
@@ -234,6 +236,18 @@ def test_search_validates_arguments():
         search_report(c, eta, pool=[])
 
 
+def test_search_refuses_an_effective_combination_without_sections(monkeypatch):
+    # 1 is in L(D) for every effective D: h0 = 0 there is an engine defect,
+    # and skipping the combination could hide a smaller index
+    c = standard_curve(3)
+    eta = _eta(c, "w1", "w2")
+    broken = class_key(c, Divisor.of_point(c.weierstrass_point("w3")))
+    real = prym.class_h0
+    monkeypatch.setattr(prym, "class_h0", lambda curve, key: 0 if key == broken else real(curve, key))
+    with pytest.raises(ArithmeticError, match="engine bug"):
+        search_report(c, eta)
+
+
 def test_clifford_dimension_full_pool():
     c = standard_curve(3)
     for eta in enumerate_two_torsion(c)[:10]:
@@ -267,15 +281,15 @@ def test_secant_membership_trisecant():
     c = standard_curve(5)
     eta = _eta(c, "w1", "w2", "w3", "w4", "w5", "w6")
     d = Divisor.of_points([c.weierstrass_point(f"w{i}") for i in (1, 2, 3)])
-    assert secant_membership(c, eta, d, e=3, f=1)
+    assert secant_membership(c, eta, d, f=1)
     # overlapping the subset the wrong way kills both sections:
     # twist(w5+w6+w7) = w1+w2+w3-w4+w7 has no effective representative
     mixed = Divisor.of_points([c.weierstrass_point(f"w{i}") for i in (5, 6, 7)])
-    assert not secant_membership(c, eta, mixed, e=3, f=1)
+    assert not secant_membership(c, eta, mixed, f=1)
     # at 2k = g+1 the subset and its complement write the same class, so a
     # triple from the complement is also a trisecant witness
     complement_half = Divisor.of_points([c.weierstrass_point(f"w{i}") for i in (7, 8, 9)])
-    assert secant_membership(c, eta, complement_half, e=3, f=1)
+    assert secant_membership(c, eta, complement_half, f=1)
 
 
 def test_secant_membership_validation():
@@ -283,11 +297,11 @@ def test_secant_membership_validation():
     eta = _eta(c, "w1", "w2")
     d = Divisor.of_points(c.weierstrass_points[:3])
     with pytest.raises(ValueError):
-        secant_membership(c, eta, d, e=3, f=3)  # f >= e
+        secant_membership(c, eta, d, f=3)  # f >= deg d
     with pytest.raises(ValueError):
-        secant_membership(c, eta, d, e=2, f=1)  # degree mismatch
+        secant_membership(c, eta, d, f=0)
     with pytest.raises(ValueError):
-        secant_membership(c, eta, -d, e=-3, f=1)
+        secant_membership(c, eta, -d, f=1)
 
 
 def test_min_secant_degree_equals_k():

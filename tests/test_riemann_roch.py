@@ -20,14 +20,17 @@ from prymlab import (
     h0,
     is_linearly_equivalent,
     mumford_of_divisor,
+    mumford_of_point,
     riemann_roch,
     riemann_roch_space,
+    search_report,
     series_sqrt_branch,
     standard_curve,
     two_torsion_from_subset,
     valuation,
 )
 from prymlab.riemann_roch import class_h0, class_key, pencil_h0s, residual_key, twisted_key
+from prymlab.serialize import point_from_dict
 from support import (
     gauss_jordan_oracle,
     marked_curves,
@@ -314,6 +317,11 @@ def test_rr_space_rejects_points_off_curve():
         "is_linearly_equivalent-cancelling",
         "is_linearly_equivalent-unequal-degrees",
         "contributes-above-g-1",
+        "valuation",
+        "mumford_of_point",
+        "search_report-custom-pool",
+        "point_from_dict",
+        "curve.point",
     ],
 )
 def test_off_curve_points_rejected_everywhere(bad, entry):
@@ -336,8 +344,15 @@ def test_off_curve_points_rejected_everywhere(bad, entry):
         "is_linearly_equivalent-unequal-degrees": lambda: is_linearly_equivalent(c, p, Divisor()),
         # degree 3 > g - 1 = 2: no h0 is needed to answer
         "contributes-above-g-1": lambda: contributes(c, two_torsion_from_subset(c, ["w1", "w2"]), 3 * p),
+        "valuation": lambda: valuation(c, Y, p.support[0]),
+        "mumford_of_point": lambda: mumford_of_point(c, p.support[0]),
+        "search_report-custom-pool": lambda: search_report(
+            c, two_torsion_from_subset(c, ["w1", "w2"]), pool=[marked, p.support[0]]
+        ),
+        "point_from_dict": lambda: point_from_dict({"x": str(bad[0]), "y": str(bad[1])}, c),
+        "curve.point": lambda: c.point(*bad),
     }[entry]
-    with pytest.raises(ValueError, match="not on the curve"):
+    with pytest.raises(ValueError, match=r"^point \(.*\) is not on the curve y\^2 = f\(x\)$"):
         call()
 
 
