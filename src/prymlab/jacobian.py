@@ -187,7 +187,8 @@ class TwoTorsionClass:
     def twist(self, divisor: Divisor) -> Divisor:
         """divisor + beta: a representative of the eta-twist, of the same
         degree, whose odd affine-ramification mask is divisor's XOR `mask`."""
-        return divisor + self.beta_divisor()
+        affine = [p for p in map(self.curve.weierstrass_point, self.subset) if not p.is_infinity]
+        return Divisor([*divisor, *((p, 1) for p in affine), (INFINITY, -len(affine))])
 
     def mumford(self) -> MumfordClass:
         """Reduced Mumford form: u the product of (x - r) over the affine

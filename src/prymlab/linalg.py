@@ -11,12 +11,12 @@ by leftmost column with the first nonzero row.  The reduced echelon form is
 unique, so the bases do not depend on the pivoting and identical inputs
 always give identical bases.
 
-`pivot_columns` returns the pivot columns of one forward elimination; with
-leftmost-column pivoting, the pivots inside a column prefix give the rank of
-that prefix.  `matrix_rank` first eliminates the leading w x w block,
-w = min(rows, cols) over the nonzero rows.  When that block has full rank it
-certifies the answer, since w <= rank <= w; otherwise the rows it has
-already converted are eliminated whole.
+`pivot_columns` is the one forward elimination; `matrix_rank` counts its
+pivots.  Leftmost pivots are the column rank profile, whichever rows are
+chosen, so the pivots inside a column prefix count that prefix's rank.  A
+nonsingular leading w x w block, w = min(rows, cols) over the nonzero rows,
+certifies the profile 0..w-1: the first c columns have rank c for c <= w,
+and the rank is at most w.  Otherwise the converted rows are eliminated whole.
 """
 
 from __future__ import annotations
@@ -61,8 +61,10 @@ def _eliminate(rows: list[Sequence[int]], cols: int, reduce: bool) -> tuple[list
         r = len(pivots)
         if r == n:
             break
-        sel = next((i for i in range(r, n) if rows[i][col]), None)
-        if sel is None:
+        for sel in range(r, n):
+            if rows[sel][col]:
+                break
+        else:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         prow = rows[r]
@@ -111,21 +113,17 @@ def kernel_basis(matrix: Matrix, cols: int) -> list[list[Fraction]]:
 def pivot_columns(matrix: Matrix, cols: int) -> list[int]:
     """The pivot columns of one forward elimination, in increasing order.
 
-    Pivoting is by leftmost column, so the pivots that fall in the first c
-    columns are the pivots of those columns alone: their number is the rank
-    of that column prefix, for every c at once.
-    """
-    return _eliminate(_integer_rows(matrix, cols), cols, reduce=False)[0]
-
-
-def matrix_rank(matrix: Matrix, cols: int) -> int:
-    """Rank by fraction-free forward elimination, exact.
-
-    A full-rank leading w x w block, w = min(rows, cols), certifies rank w;
-    a singular one falls through to the elimination of the whole matrix.
+    The pivots that fall in the first c columns count the rank of that
+    column prefix, for every c at once.  A nonsingular leading w x w block,
+    w = min(rows, cols), certifies the pivots 0..w-1.
     """
     rows = _integer_rows(matrix, cols)
     w = min(len(rows), cols)
     if len(_eliminate([r[:w] for r in rows[:w]], w, reduce=False)[0]) == w:
-        return w
-    return len(_eliminate(rows, cols, reduce=False)[0])
+        return list(range(w))
+    return _eliminate(rows, cols, reduce=False)[0]
+
+
+def matrix_rank(matrix: Matrix, cols: int) -> int:
+    """Rank, exact: the number of pivot columns."""
+    return len(pivot_columns(matrix, cols))

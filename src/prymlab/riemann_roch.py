@@ -58,9 +58,11 @@ h0.  Order the columns by pole order at oo, x^i at 2i and x^i*y at 2i+2g+1,
 and let cap = 2 deg(den) + n_inf bound them.  Lowering the degree by 2 lowers
 cap by 2 and changes no row: the denominator and the vanishing orders depend
 only on the affine part.  So the condition matrix of D - j * 2oo is the
-column prefix of order at most cap - 2j of D's matrix, up to row scaling.
-With leftmost-column pivoting the pivots inside a prefix count its rank, and
-`pencil_h0s` reads each h0 as the prefix's column count minus its pivots.
+column prefix of order at most cap - 2j of D's matrix, up to row scaling,
+and `pencil_h0s` reads each h0 as the prefix's column count minus the pivots
+inside it.  For K + eta the rows evaluate x^0, x^1, ... at the mask's roots,
+so the leading |mask| x |mask| block is a nonsingular Vandermonde matrix and
+`linalg.pivot_columns` certifies the pivots 0..|mask|-1 from it alone.
 """
 
 from __future__ import annotations
@@ -276,8 +278,10 @@ def _space_matrix(
         if t:
             # ord(a) = 2 mult_x0(a), ord(b*y) = 2 mult_x0(b) + 1
             taylor = _taylor_table(curve, i, roots[i - 1], na, (t + 1) // 2)
-            rows.extend(row[:na] + [0] * nb for row in taylor[: (t + 1) // 2])
-            rows.extend([0] * na + row[:nb] for row in taylor[: t // 2])
+            rows.extend(taylor[l][:na] + [0] * nb for l in range((t + 1) // 2))
+            rows.extend([0] * na + taylor[l][:nb] for l in range(t // 2))
+    if not ordinary:
+        return den, na, nb, rows
     coeff_at = dict(ordinary)
     for place in dict.fromkeys(c for p, _ in ordinary for c in (p, p.conjugate())):
         t = ordinary_den[place.x] - coeff_at.get(place, 0)
@@ -406,11 +410,9 @@ def pencil_h0s(curve: HyperellipticCurve, key: ClassKey) -> tuple[int, ...]:
     up to the first 0, or up to j = g-1 at the latest, from one elimination.
 
     The columns of D's condition matrix are put in pole order at oo, x^i at
-    2i and x^i*y at 2i+2g+1; the columns of D - j * 2oo are those of order
-    at most cap - 2j, a prefix, and its rows are D's rows cut to that prefix
-    up to row scaling.  The pivots of one leftmost-column elimination that
-    fall in the prefix count its rank, so each value is the prefix's column
-    count minus its pivot count.  Reads and writes no memo."""
+    2i and x^i*y at 2i+2g+1, so those of D - j * 2oo are a prefix, and each
+    value is the prefix's column count minus the pivots inside it (module
+    docstring).  Reads and writes no memo."""
     ramification, ordinary, n_inf = _class_member(curve, key)
     if key[2] < 0:
         return (0,)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .curves import HyperellipticCurve
 from .jacobian import TwoTorsionClass
 from .prym import _check_eta
-from .riemann_roch import class_key, h0, pencil_h0s
+from .riemann_roch import h0, pencil_h0s, twisted_key
 
 
 class ScrollMismatchError(ArithmeticError):
@@ -53,21 +53,20 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     Requires k >= 2 (for k = 1 the system has base points and the scroll
     construction does not apply).  The values h0(canonical + eta - j * pencil)
     for j = 0, 1, ..., up to the first 0 or to j = g-1 (degree 0) at the
-    latest, come from one elimination of the j = 0 condition rows
-    (`pencil_h0s`); the first value must equal `h0` of the same class, a
-    second elimination in [a | b] column order.  The values must start at
-    g-1 and end at 0, d_0 must be 2, and every drop must be 1 or 2: while
-    sections are left, the moving pencil removes at least one at each step.
-    So the drops sum to g-1, and a violation raises, since it can only come
-    from an engine defect.
+    latest, come from one elimination of the j = 0 condition rows, keyed by
+    K's key twisted by eta (`pencil_h0s`); the first value must equal `h0` of
+    the divisor K + eta, a second elimination in [a | b] column order.  The
+    values must start at g-1 and end at 0, d_0 must be 2, and every drop must
+    be 1 or 2: while sections are left, the moving pencil removes at least
+    one at each step.  So the drops sum to g-1, and a violation raises, since
+    it can only come from an engine defect.
     """
     _check_eta(curve, eta)
     if eta.k < 2:
         raise ValueError("k = 1: the twisted canonical system has base points")
     g = curve.genus
-    base = eta.twist(curve.canonical_divisor())
-    values = pencil_h0s(curve, class_key(curve, base))
-    certified = h0(curve, base)
+    values = pencil_h0s(curve, twisted_key(curve, (0, (), 2 * g - 2), eta.mask))
+    certified = h0(curve, eta.twist(curve.canonical_divisor()))
     if values[0] != certified:
         raise ScrollMismatchError(f"h0 values {values} along the pencil start off h0 = {certified}")
     drops = tuple(a - b for a, b in zip(values, values[1:]))

@@ -267,6 +267,29 @@ def test_pair_and_beta_writings_equivalent():
         assert is_linearly_equivalent(c, eta.twist(d), d + positive - negative), eta
 
 
+def test_twist_is_the_sum_with_the_beta_divisor():
+    # one Divisor built from d's terms and beta's must equal the formal sum,
+    # also where they share points and cancel
+    c = standard_curve(3)
+    w = c.weierstrass_point
+    standard = [
+        Divisor(),
+        c.canonical_divisor(),
+        Divisor([(w("w1"), 1), (w("w3"), 2), (c.infinity, -1)]),
+        Divisor([(w(f"w{i}"), -1) for i in range(1, 8)]),
+    ]
+    shifted, point = shifted_marked_curve()
+    s = shifted.weierstrass_point
+    mixed = [
+        Divisor([(point, 2), (s("w2"), 1), (shifted.infinity, -3)]),
+        Divisor([(point, 1), (point.conjugate(), -1), (s("w5"), -1), (s("w7"), 3)]),
+    ]
+    for curve, divisors in ((c, standard), (shifted, mixed)):
+        for eta in [two_torsion_from_subset(curve, [])] + enumerate_two_torsion(curve):
+            for d in divisors:
+                assert eta.twist(d) == d + eta.beta_divisor(), (eta, d)
+
+
 def test_eta_canonical_k_splits():
     c5 = standard_curve(5)
     eta = two_torsion_from_subset(c5, ["w1", "w2"])

@@ -131,13 +131,11 @@ def test_pivots_in_a_column_prefix_count_its_rank():
             assert sum(p < c for p in pivots) == gauss_jordan_oracle(prefix, c)[1], (matrix, c)
 
 
-def test_rank_falls_through_a_singular_leading_block():
-    # Leading w x w block singular (w = min(rows, cols)): the block cannot
-    # certify the rank, which is w or less depending on the other entries.
-    assert matrix_rank([[1, 2, 3], [2, 4, 5]], 3) == 2
-    assert matrix_rank([[1, 2], [2, 4], [0, 1]], 2) == 2
-    rng = random.Random(77)
-    ranks = Counter()
+def _singular_leading_block_family(seed):
+    """(matrix, cols, w, tall) with a singular leading w x w block,
+    w = min(rows, cols): tall and wide integer matrices whose rank is w or
+    less depending on the entries outside the block."""
+    rng = random.Random(seed)
     for _ in range(400):
         w = rng.randint(1, 5)
         extra = rng.randint(1, 4)
@@ -154,6 +152,16 @@ def test_rank_falls_through_a_singular_leading_block():
             if tall:  # and so do the rows below the block
                 for i in range(w, rows):
                     m[i] = [sum(r[j] * rng.randint(-2, 2) for r in m[: w - 1]) for j in range(cols)]
+        yield m, cols, w, tall
+
+
+def test_rank_falls_through_a_singular_leading_block():
+    # Leading w x w block singular (w = min(rows, cols)): the block cannot
+    # certify the rank, which is w or less depending on the other entries.
+    assert matrix_rank([[1, 2, 3], [2, 4, 5]], 3) == 2
+    assert matrix_rank([[1, 2], [2, 4], [0, 1]], 2) == 2
+    ranks = Counter()
+    for m, cols, w, _ in _singular_leading_block_family(77):
         as_fractions = [[Fraction(c, 3) for c in row] for row in m]
         rank = gauss_jordan_oracle(m, cols)[1]
         assert gauss_jordan_oracle([row[:w] for row in m[:w]], w)[1] < w
@@ -163,18 +171,42 @@ def test_rank_falls_through_a_singular_leading_block():
     assert ranks[True] > 50 and ranks[False] > 50
 
 
+def test_pivots_fall_through_a_singular_leading_block():
+    # the pivots inside every column prefix count that prefix's rank, for
+    # integer and Fraction entries, on tall and wide matrices alike
+    shapes = Counter()
+    for m, cols, _, tall in _singular_leading_block_family(78):
+        as_fractions = [[Fraction(c, 3) for c in row] for row in m]
+        pivots = linalg.pivot_columns(m, cols)
+        assert linalg.pivot_columns(as_fractions, cols) == pivots, m
+        for c in range(cols + 1):
+            prefix_rank = gauss_jordan_oracle([row[:c] for row in m], c)[1]
+            assert sum(p < c for p in pivots) == prefix_rank, (m, c)
+        shapes[tall] += 1
+    assert shapes[True] > 100 and shapes[False] > 100
+
+
 def test_rank_converts_the_rows_once_through_a_singular_leading_block(monkeypatch):
-    calls = []
-    integer_rows = linalg._integer_rows
+    calls, eliminated = [], []
+    integer_rows, eliminate = linalg._integer_rows, linalg._eliminate
 
     def counting(matrix, cols):
         calls.append(cols)
         return integer_rows(matrix, cols)
 
+    def recording(rows, cols, reduce):
+        eliminated.append((len(rows), cols))
+        return eliminate(rows, cols, reduce)
+
     monkeypatch.setattr(linalg, "_integer_rows", counting)
+    monkeypatch.setattr(linalg, "_eliminate", recording)
     # the leading 2 x 2 block [[1, 2], [2, 4]] is singular; column 3 is not
-    assert matrix_rank([[1, 2, 3], [2, 4, Fraction(5, 2)]], 3) == 2
-    assert calls == [3]
+    matrix = [[1, 2, 3], [2, 4, Fraction(5, 2)]]
+    assert matrix_rank(matrix, 3) == 2
+    assert linalg.pivot_columns(matrix, 3) == [0, 2]
+    assert calls == [3, 3]
+    # the block, then the converted rows whole
+    assert eliminated == [(2, 2), (2, 3)] * 2
 
 
 def test_integer_rows_are_used_as_they_are():
@@ -223,7 +255,7 @@ def _check_against_oracle(seen):
         assert kernel_basis(matrix, cols) == basis
 
 
-def test_matches_oracle_on_genus_13_scroll_matrices(recorded_matrices):
+def test_matches_oracle_on_genus_13_scroll_matrices(recorded_matrices, monkeypatch):
     # non-integer roots, so the ramification Taylor rows are scaled by q > 1
     roots = [Fraction(2 * i - 27, 1 + i % 4) for i in range(27)]
     curve = HyperellipticCurve(roots)
@@ -231,6 +263,22 @@ def test_matches_oracle_on_genus_13_scroll_matrices(recorded_matrices):
     report = scroll_report(curve, eta)
     assert (report.e1, report.e2) == (13 - 1 - 4, 4 - 2)
     _check_against_oracle(recorded_matrices)
+    # the pencil's pole-ordered matrix and the h0 cross-check's [a | b] one
+    # both lead with the Vandermonde block of the twist's 8 rows, which
+    # certifies their pivots in one elimination
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(rows, cols, reduce):
+        calls.append(cols)
+        return eliminate(rows, cols, reduce)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    assert len(recorded_matrices) == 2
+    for matrix, cols in recorded_matrices:
+        calls.clear()
+        assert len(matrix) == 8 and linalg.pivot_columns(matrix, cols) == list(range(8))
+        assert calls == [8]
 
 
 def test_matches_oracle_on_genus_4_search_matrices(recorded_matrices):

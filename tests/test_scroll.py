@@ -9,11 +9,13 @@ from prymlab import (
     HyperellipticCurve,
     ScrollMismatchError,
     dj_sequence,
+    enumerate_two_torsion,
     park_parameters,
     scroll_report,
     standard_curve,
     two_torsion_from_subset,
 )
+from prymlab.riemann_roch import class_key, twisted_key
 
 
 def _eta_k(curve, k):
@@ -100,8 +102,19 @@ def test_genus13_report_runs_two_eliminations_and_one_h0_call(monkeypatch):
     monkeypatch.setattr(scroll, "h0", counted_h0)
     report = scroll_report(c, two_torsion_from_subset(c, range(1, 9)))
     assert (report.e1, report.e2) == (8, 2)
-    assert len(eliminations) == 2
+    # each is the nonsingular leading 8 x 8 block of the twist's 8 rows
+    assert eliminations == [8, 8]
     assert len(h0_calls) == 1
+
+
+def test_pencil_key_is_the_class_key_of_the_twisted_canonical_divisor():
+    # dj_sequence keys pencil_h0s without building K + eta
+    for g in range(2, 6):
+        c = standard_curve(g)
+        canonical = c.canonical_divisor()
+        for eta in enumerate_two_torsion(c):
+            key = twisted_key(c, (0, (), 2 * g - 2), eta.mask)
+            assert key == class_key(c, eta.twist(canonical)), eta
 
 
 def test_scroll_types_match_closed_form():
