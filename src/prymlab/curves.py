@@ -47,10 +47,12 @@ class CurvePoint:
         return self.is_infinity or self.y == 0
 
     def conjugate(self) -> "CurvePoint":
-        """Image under the hyperelliptic involution (x, y) -> (x, -y)."""
-        if self.is_infinity:
-            return self
-        return CurvePoint(self.x, -self.y)
+        """Image under the involution (x, y) -> (x, -y), made once and kept as the hash is."""
+        if "_conjugate" not in self.__dict__:
+            conj = self if self.is_weierstrass else CurvePoint(self.x, -self.y)
+            object.__setattr__(conj, "_conjugate", self)
+            object.__setattr__(self, "_conjugate", conj)
+        return self._conjugate
 
     def sort_key(self):
         if self.is_infinity:
@@ -215,9 +217,7 @@ class HyperellipticCurve:
         self._hash = hash(self._roots)  # once: every 2-torsion class hashes its curve
         self._f = Poly.from_roots(rs)
         self._genus = (len(rs) - 1) // 2
-        self._weierstrass = tuple(
-            [CurvePoint.affine(r, 0) for r in rs] + [INFINITY]
-        )
+        self._weierstrass = tuple([CurvePoint.affine(r, 0) for r in rs] + [INFINITY])
         self._label_of_point = {p: i + 1 for i, p in enumerate(self._weierstrass)}
         self._h0_cache: dict[tuple, int] = {}
         self._branch_cache: dict[CurvePoint, tuple[Fraction, ...]] = {}  # keyed by the point with y > 0

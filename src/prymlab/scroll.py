@@ -10,8 +10,8 @@ via e_i = #{j : d_j >= i} - 1, and must come out as (g-1-k, k-2); the module
 asserts that equality on every run, so any drift in the h0 engine surfaces
 as a hard error rather than a wrong report.  Every h0 along the pencil comes
 from one elimination (`riemann_roch.pencil_h0s`, pole-ordered columns), and
-its first value is certified again by `h0`, which eliminates the same rows
-in another column order.  For k >= 3 (the very-ample range) the scroll
+its first value is certified by Riemann-Roch as g - 1 + h0(beta), one `h0`
+of another matrix.  For k >= 3 (the very-ample range) the scroll
 determines the syzygies of the embedded curve through the factorization
 type (m, b) = (g-k-1, 2k): the resolution shape parameters
 
@@ -54,8 +54,8 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     construction does not apply).  The values h0(canonical + eta - j * pencil)
     for j = 0, 1, ..., up to the first 0 or to j = g-1 (degree 0) at the
     latest, come from one elimination of the j = 0 condition rows, keyed by
-    K's key twisted by eta (`pencil_h0s`); the first value must equal `h0` of
-    the divisor K + eta, a second elimination in [a | b] column order.  The
+    K's key twisted by eta (`pencil_h0s`); the first value must equal
+    g - 1 + h0(beta) by Riemann-Roch, as K - (K + eta) = -beta ~ beta.  The
     values must start at g-1 and end at 0, d_0 must be 2, and every drop must
     be 1 or 2: while sections are left, the moving pencil removes at least
     one at each step.  So the drops sum to g-1, and a violation raises, since
@@ -66,7 +66,7 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
         raise ValueError("k = 1: the twisted canonical system has base points")
     g = curve.genus
     values = pencil_h0s(curve, twisted_key(curve, (0, (), 2 * g - 2), eta.mask))
-    certified = h0(curve, eta.twist(curve.canonical_divisor()))
+    certified = g - 1 + h0(curve, eta.beta_divisor())
     if values[0] != certified:
         raise ScrollMismatchError(f"h0 values {values} along the pencil start off h0 = {certified}")
     drops = tuple(a - b for a, b in zip(values, values[1:]))

@@ -168,4 +168,27 @@ MUTANTS = (
         "(0, (), 2 * g - 2), 0)",
         "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[scroll]",
     ),
+    Mutant(
+        "rr-certificate-zero-divisor",
+        "scroll.py",
+        "h0(curve, eta.beta_divisor())",
+        "h0(curve, eta.beta_divisor() * 0)",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[scroll]",
+    ),
+    Mutant(
+        "rr-certificate-minus-beta",
+        "scroll.py",
+        "+ h0(curve, eta.beta_divisor())",
+        "+ h0(curve, -eta.beta_divisor())",
+        "equivalent: -beta ~ beta, since 2 beta is principal, so the two have one class key"
+        " and one h0",
+    ),
+    Mutant(
+        "conjugate-links-to-itself",
+        "curves.py",
+        'object.__setattr__(conj, "_conjugate", self)',
+        'object.__setattr__(conj, "_conjugate", conj)',
+        "killed: perfbench/test_perfbench.py::"
+        "test_tracer_restores_originals_and_accounts_for_op_time",
+    ),
 )

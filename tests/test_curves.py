@@ -139,6 +139,19 @@ def test_fractional_roots_accepted():
     assert c.genus == 2
 
 
+def test_conjugate_is_made_once_per_point():
+    # kept on both points: the involution builds no further point, and a
+    # Weierstrass point (oo too) is its own conjugate
+    marked_curve, marked = curve_with_marked_point(3)
+    conj = marked.conjugate()
+    assert conj == CurvePoint(marked.x, -marked.y) and marked_curve.contains(conj)
+    assert marked.conjugate() is conj and conj.conjugate() is marked
+    fresh = CurvePoint.affine(marked.x, marked.y)
+    assert fresh.conjugate() == conj and fresh.conjugate() is not conj
+    for w in marked_curve.weierstrass_points + (CurvePoint(None, None), CurvePoint.affine(7, 0)):
+        assert w.conjugate() is w
+
+
 def test_equal_points_and_divisors_hash_equal():
     p = CurvePoint.affine("1/2", 3)
     q = CurvePoint(Fraction(2, 4), Fraction(3))

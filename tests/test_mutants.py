@@ -4,7 +4,8 @@ from pathlib import Path
 
 from mutants import MUTANTS
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "prymlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "prymlab"
 
 
 def test_each_mutant_old_text_occurs_once():
@@ -13,3 +14,13 @@ def test_each_mutant_old_text_occurs_once():
         assert m.old != m.new, m.name
         assert m.note.startswith(("killed: ", "equivalent: ")), m.name
         assert (SRC / m.file).read_text().count(m.old) == 1, m.name
+
+
+def test_each_killed_note_names_a_test_that_exists():
+    # "killed: FILE::TEST[PARAM] ...": the file exists and defines the test
+    for m in MUTANTS:
+        if not m.note.startswith("killed: "):
+            continue
+        path, _, test = m.note.removeprefix("killed: ").split()[0].partition("::")
+        assert (ROOT / path).is_file(), m.name
+        assert f"def {test.partition('[')[0]}(" in (ROOT / path).read_text(), m.name

@@ -1,6 +1,7 @@
 """Drop sequences, scroll types, and resolution-shape parameters."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from prymlab import (
     standard_curve,
     two_torsion_from_subset,
 )
-from prymlab.riemann_roch import class_key, twisted_key
+from prymlab.riemann_roch import class_key, h0, twisted_key
 
 
 def _eta_k(curve, k):
@@ -68,7 +69,8 @@ def test_dj_rejects_a_zero_drop(monkeypatch):
 
 
 def test_dj_raises_after_one_h0_call_when_h0_is_off(monkeypatch):
-    # the first value along the pencil is certified by h0 of the same class
+    # the first value along the pencil is certified by Riemann-Roch on eta,
+    # g - 1 + h0(beta), with one h0 call, on beta
     c = standard_curve(5)
     calls = []
     real = scroll.h0
@@ -80,11 +82,12 @@ def test_dj_raises_after_one_h0_call_when_h0_is_off(monkeypatch):
     monkeypatch.setattr(scroll, "h0", planted)
     with pytest.raises(ScrollMismatchError):
         dj_sequence(c, _eta_k(c, 2))
-    assert len(calls) == 1
+    assert [class_key(c, d) for d in calls] == [class_key(c, _eta_k(c, 2).beta_divisor())]
 
 
 def test_genus13_report_runs_two_eliminations_and_one_h0_call(monkeypatch):
     # one elimination for the whole pencil profile, one for the h0 certificate
+    # of beta, a degree-0 divisor whose matrix is 8 x (8 // 2 + 1)
     rng = random.Random("scroll-cost")
     c = HyperellipticCurve(rng.sample(range(-39, 40), 27))  # a fresh, empty memo
     eliminations, h0_calls = [], []
@@ -102,9 +105,29 @@ def test_genus13_report_runs_two_eliminations_and_one_h0_call(monkeypatch):
     monkeypatch.setattr(scroll, "h0", counted_h0)
     report = scroll_report(c, two_torsion_from_subset(c, range(1, 9)))
     assert (report.e1, report.e2) == (8, 2)
-    # each is the nonsingular leading 8 x 8 block of the twist's 8 rows
-    assert eliminations == [8, 8]
-    assert len(h0_calls) == 1
+    # the nonsingular leading 8 x 8 block of the twist's 8 rows, then the
+    # leading 5 x 5 block of beta's 8 rows
+    assert eliminations == [8, 5]
+    assert [d.degree for d in h0_calls] == [0]
+
+
+def test_twisted_canonical_h0_is_riemann_roch_on_beta():
+    # the oracle for dj_sequence's certificate is the h0 it replaced:
+    # h0(K + eta) - h0(-beta) = g - 1 by Riemann-Roch, -beta ~ beta, and
+    # h0(beta) = 0 for a nontrivial eta.  Every class at genus 2-5, and
+    # classes of every k on a genus-13 curve with fractional roots
+    cases = [(standard_curve(g), enumerate_two_torsion(standard_curve(g))) for g in range(2, 6)]
+    rng = random.Random("rr-on-beta")
+    c13 = HyperellipticCurve([Fraction(2 * i - 27, 1 + i % 4) for i in range(27)])
+    subsets = [(1, 4, 6, 9, 13, 20, 22, 27)]
+    subsets += [rng.sample(range(1, 29), 2 * k) for k in range(1, 8) for _ in range(3)]
+    cases.append((c13, [two_torsion_from_subset(c13, s) for s in subsets]))
+    for c, etas in cases:
+        canonical = c.canonical_divisor()
+        for eta in etas:
+            beta = eta.beta_divisor()
+            assert class_key(c, -beta) == class_key(c, beta)
+            assert h0(c, eta.twist(canonical)) == c.genus - 1 + h0(c, beta) == c.genus - 1, eta
 
 
 def test_pencil_key_is_the_class_key_of_the_twisted_canonical_divisor():
