@@ -31,7 +31,7 @@ from .jacobian import (
     two_torsion_from_subset,
     validate_mumford,
 )
-from .linalg import kernel_basis, matrix_rank
+from .linalg import kernel_basis
 from .polynomials import Poly, poly_gcd, poly_xgcd
 from .prym import (
     GeometryProbes,
@@ -96,7 +96,6 @@ __all__ = [
     "h0",
     "is_linearly_equivalent",
     "kernel_basis",
-    "matrix_rank",
     "min_secant_degree",
     "mumford_of_divisor",
     "mumford_of_point",

@@ -1,22 +1,22 @@
 """Exact dense linear algebra over the rationals.
 
-Only what the Riemann-Roch solver needs: a right null space and a rank, both
-from one fraction-free elimination (Bareiss, Math. Comp. 22, 1968) over
-Python ints, in which every division by the previous pivot is exact.  Rows
-may hold ints, Fractions or both.  A row of ints is used as it is (one type
-check, no copy), which is the case for every condition row the Riemann-Roch
-builder emits; any other row is first scaled to integers by the lcm of its
-denominators, which leaves the kernel and the rank unchanged.  Pivoting is
-by leftmost column with the first nonzero row.  The reduced echelon form is
-unique, so the bases do not depend on the pivoting and identical inputs
-always give identical bases.
+Only what the Riemann-Roch solver needs: a right null space and the pivot
+columns, both from one fraction-free elimination (Bareiss, Math. Comp. 22,
+1968) over Python ints, in which every division by the previous pivot is
+exact.  Rows may hold ints, Fractions or both.  A row of ints is used as it
+is (one type check, no copy), which is the case for every condition row the
+Riemann-Roch builder emits; any other row is first scaled to integers by the
+lcm of its denominators, which leaves the kernel and the rank unchanged.
+Pivoting is by leftmost column with the first nonzero row.  The reduced
+echelon form is unique, so the bases do not depend on the pivoting and
+identical inputs always give identical bases.
 
-`pivot_columns` is the one forward elimination; `matrix_rank` counts its
-pivots.  Leftmost pivots are the column rank profile, whichever rows are
-chosen, so the pivots inside a column prefix count that prefix's rank.  A
-nonsingular leading w x w block, w = min(rows, cols) over the nonzero rows,
-certifies the profile 0..w-1: the first c columns have rank c for c <= w,
-and the rank is at most w.  Otherwise the converted rows are eliminated whole.
+`pivot_columns` is the one forward elimination.  Leftmost pivots are the
+column rank profile, whichever rows are chosen, so the pivots inside a
+column prefix count that prefix's rank.  A nonsingular leading w x w block,
+w = min(rows, cols) over the nonzero rows, certifies the profile 0..w-1:
+the first c columns have rank c for c <= w, and the rank is at most w.
+Otherwise the converted rows are eliminated whole.
 """
 
 from __future__ import annotations
@@ -122,8 +122,3 @@ def pivot_columns(matrix: Matrix, cols: int) -> list[int]:
     if len(_eliminate([r[:w] for r in rows[:w]], w, reduce=False)[0]) == w:
         return list(range(w))
     return _eliminate(rows, cols, reduce=False)[0]
-
-
-def matrix_rank(matrix: Matrix, cols: int) -> int:
-    """Rank, exact: the number of pivot columns."""
-    return len(pivot_columns(matrix, cols))

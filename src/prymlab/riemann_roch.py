@@ -43,26 +43,26 @@ ramification part of D to the mask:
     equivalent to its complement plus a multiple of oo, and the mask is
     folded to the side with at most g bits.
 
-Equal keys therefore mean equivalent divisors of equal degree.  On a miss
-the kernel engine ranks condition rows built straight from the key, for the
-class member with coefficient 1 at each point of the mask, the key's
-ordinary terms, and oo taking the rest of the degree; no representative
-`Divisor` is built.  `HyperellipticCurve.validate_divisor` is the one split
-of a divisor into those three parts, checking each point on the curve
-once: `class_key` reads the mask off it, `riemann_roch_space` hands it to
-the one condition-matrix builder, and `jacobian.mumford_of_divisor` reads
-its Mumford pair off it.
+Equal keys therefore mean equivalent divisors of equal degree.
+`HyperellipticCurve.validate_divisor` is the one split of a divisor into
+those three parts, checking each point on the curve once: `class_key` reads
+the mask off it, `riemann_roch_space` hands it to the one condition-matrix
+builder, and `jacobian.mumford_of_divisor` reads its Mumford pair off it.
 
-Along the pencil, D - j * 2oo for j = 0, 1, ..., one elimination gives every
-h0.  Order the columns by pole order at oo, x^i at 2i and x^i*y at 2i+2g+1,
-and let cap = 2 deg(den) + n_inf bound them.  Lowering the degree by 2 lowers
-cap by 2 and changes no row: the denominator and the vanishing orders depend
-only on the affine part.  So the condition matrix of D - j * 2oo is the
-column prefix of order at most cap - 2j of D's matrix, up to row scaling,
-and `pencil_h0s` reads each h0 as the prefix's column count minus the pivots
-inside it.  For K + eta the rows evaluate x^0, x^1, ... at the mask's roots,
-so the leading |mask| x |mask| block is a nonsingular Vandermonde matrix and
-`linalg.pivot_columns` certifies the pivots 0..|mask|-1 from it alone.
+Every h0 is read off one pole-ordered elimination of condition rows built
+straight from the key, for the class member with coefficient 1 at each
+point of the mask, the key's ordinary terms, and oo taking the rest of the
+degree; no representative `Divisor` is built.  The columns are put in pole
+order at oo, x^i at 2i and x^i*y at 2i+2g+1, bounded by cap = 2 deg(den) +
+n_inf.  Lowering the degree by 2 lowers cap by 2 and changes no row (the
+denominator and the vanishing orders depend only on the affine part), so
+the condition matrix of D - j * 2oo is the column prefix of order at most
+cap - 2j, up to row scaling.  Its h0 is the prefix's column count minus
+the pivots inside it: `class_h0` reads j = 0, at any degree, and
+`pencil_h0s` every j.  For K + eta the rows evaluate x^0, x^1, ... at the
+mask's roots, so the leading |mask| x |mask| block is a nonsingular
+Vandermonde matrix and `linalg.pivot_columns` certifies the pivots
+0..|mask|-1 from it alone.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .curves import CurvePoint, Divisor, HyperellipticCurve, memo_put
-from .linalg import kernel_basis, matrix_rank, pivot_columns
+from .linalg import kernel_basis, pivot_columns
 from .polynomials import ONE, Poly, poly_gcd
 from .series import series_sqrt_branch
 
@@ -388,45 +388,42 @@ def _class_member(curve: HyperellipticCurve, key: ClassKey):
     return ramification, ordinary, degree - len(ramification) - sum(n for _, n in ordinary)
 
 
+def _pole_profile(curve: HyperellipticCurve, key: ClassKey):
+    """(cap, column pole orders, pivot columns) of the key's condition
+    matrix, from one `pivot_columns` call on its columns in pole order; an
+    [a | b] matrix without b-columns is already in pole order."""
+    ramification, ordinary, n_inf = _class_member(curve, key)
+    den, na, nb, rows = _space_matrix(curve, ramification, ordinary, n_inf)
+    orders = range(0, 2 * na, 2)
+    if nb:
+        orders = list(orders) + [2 * j + 2 * curve.genus + 1 for j in range(nb)]
+        perm = sorted(range(na + nb), key=orders.__getitem__)
+        orders = [orders[c] for c in perm]
+        rows = [[row[c] for c in perm] for row in rows]
+    return 2 * sum(m for _, m in den) + n_inf, orders, pivot_columns(rows, na + nb)
+
+
 def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
     """dim L(D) for the class with this key, from the per-curve memo; a miss
-    is ncols minus the rank of the condition rows built from the key."""
+    is the column count minus the pivots of its pole profile."""
     cache = curve._h0_cache
     dim = cache.get(key)
-    if dim is not None:
-        return dim
-    member = _class_member(curve, key)
-    if key[2] < 0:
-        dim = 0
-    else:
-        _, na, nb, rows = _space_matrix(curve, *member)
-        dim = na + nb - matrix_rank(rows, na + nb)
-    cache[key] = dim
+    if dim is None:
+        _, orders, pivots = _pole_profile(curve, key)
+        dim = cache[key] = len(orders) - len(pivots)
     return dim
 
 
 def pencil_h0s(curve: HyperellipticCurve, key: ClassKey) -> tuple[int, ...]:
     """dim L(D - j * 2oo) for the class D with this key, for j = 0, 1, ...
-    up to the first 0, or up to j = g-1 at the latest, from one elimination.
-
-    The columns of D's condition matrix are put in pole order at oo, x^i at
-    2i and x^i*y at 2i+2g+1, so those of D - j * 2oo are a prefix, and each
-    value is the prefix's column count minus the pivots inside it (module
-    docstring).  Reads and writes no memo."""
-    ramification, ordinary, n_inf = _class_member(curve, key)
-    if key[2] < 0:
-        return (0,)
-    den, na, nb, rows = _space_matrix(curve, ramification, ordinary, n_inf)
-    cap = 2 * sum(m for _, m in den) + n_inf
-    g = curve.genus
-    order = [2 * i for i in range(na)] + [2 * j + 2 * g + 1 for j in range(nb)]
-    perm = sorted(range(na + nb), key=order.__getitem__)
-    orders = [order[c] for c in perm]
-    pivots = [orders[c] for c in pivot_columns([[row[c] for c in perm] for row in rows], na + nb)]
+    up to the first 0, or up to j = g-1 at the latest: the columns of D's
+    pole profile up to `top`, the last of pole order at most cap - 2j, less
+    the pivots among them (module docstring).  Reads and writes no memo."""
+    cap, orders, pivots = _pole_profile(curve, key)
     values: list[int] = []
-    while len(values) < g and (not values or values[-1] > 0):
-        top = cap - 2 * len(values)
-        values.append(bisect_right(orders, top) - bisect_right(pivots, top))
+    while len(values) < curve.genus and (not values or values[-1] > 0):
+        top = bisect_right(orders, cap - 2 * len(values)) - 1
+        values.append(top + 1 - bisect_right(pivots, top))
     return tuple(values)
 
 

@@ -191,4 +191,25 @@ MUTANTS = (
         "killed: perfbench/test_perfbench.py::"
         "test_tracer_restores_originals_and_accounts_for_op_time",
     ),
+    Mutant(
+        "pencil-stop-rule",
+        "riemann_roch.py",
+        "len(values) < curve.genus and ",
+        "",
+        "killed: tests/test_riemann_roch.py::test_pencil_h0s_match_class_h0_with_ordinary_terms",
+    ),
+    Mutant(
+        "pole-order-skipped",
+        "riemann_roch.py",
+        "sorted(range(na + nb), key=orders.__getitem__)",
+        "range(na + nb)",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[scroll]",
+    ),
+    Mutant(
+        "pole-order-b-column-off-by-one",
+        "riemann_roch.py",
+        "2 * j + 2 * curve.genus + 1",
+        "2 * j + 2 * curve.genus - 1",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[scroll]",
+    ),
 )

@@ -68,8 +68,10 @@ def pencil_values_oracle(curve: HyperellipticCurve, base: Divisor) -> tuple[int,
     j = g-1 at the latest, one `h0` on a `Divisor` per j.
 
     Reference for `prymlab.riemann_roch.pencil_h0s`: every value is its own
-    solve of its own condition matrix, in [a | b] column order, where the
-    function under test reads all of them off one pole-ordered elimination.
+    full-width elimination of its own condition matrix, where the function
+    under test reads all of them off column prefixes of one elimination.  A
+    rank does not depend on column order, so the pole order both share does
+    not tie them together.
     """
     pencil = curve.pencil_divisor()
     values = [h0(curve, base)]

@@ -479,6 +479,41 @@ def test_pencil_h0s_match_class_h0_with_ordinary_terms():
         assert pencil_h0s(curve, key) == tuple(expected), str(key)
 
 
+def test_pencil_h0s_stop_after_g_values_when_h0_never_reaches_zero(monkeypatch):
+    # a profile without pivots keeps every column, so no prefix reaches 0
+    # and only the stop rule ends the walk, after j = g-1
+    c = standard_curve(5)
+    key = twisted_key(c, (0, (), 2 * c.genus - 2), 0b1111)
+    real = riemann_roch._pole_profile
+    monkeypatch.setattr(riemann_roch, "_pole_profile", lambda curve, k: real(curve, k)[:2] + ([],))
+    # cap = 12, columns of pole order 0, 2, ..., 12 and 11
+    assert pencil_h0s(c, key) == (8, 6, 5, 4, 3)
+
+
+def _negative_degree_cases():
+    # w1 + w2 + w3 - 4 oo at genus 3: cap = 2, 3 rows, 2 a-columns
+    yield pytest.param(HyperellipticCurve(standard_curve(3).roots), (0b111, (), -1), (3, 2), id="mask")
+    # 6P - 7 oo at genus 2: cap = 5, 6 rows at conj(P), 3 a- and 1 b-column
+    curve, marked = curve_with_marked_point(2)
+    yield pytest.param(HyperellipticCurve(curve.roots), (0, ((marked, 6),), -1), (6, 4), id="ordinary")
+
+
+@pytest.mark.parametrize("curve, key, shape", list(_negative_degree_cases()))
+def test_class_h0_eliminates_a_negative_degree_class(monkeypatch, curve, key, shape):
+    # h0 = 0 at negative degree is read off the elimination, like every h0
+    calls = []
+    real = riemann_roch.pivot_columns
+
+    def counting(matrix, cols):
+        calls.append((len(matrix), cols))
+        return real(matrix, cols)
+
+    monkeypatch.setattr(riemann_roch, "pivot_columns", counting)
+    assert class_h0(curve, key) == 0
+    assert calls == [shape]
+    assert curve._h0_cache[key] == 0
+
+
 def _oracle_divisors(rng, curve, marked, count):
     """Seeded divisors: ramification coefficients -3..3, the marked point and
     its conjugate with coefficients of either sign, and oo taking -3..3 half

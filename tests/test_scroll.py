@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from prymlab import linalg, scroll
+from prymlab import linalg, riemann_roch, scroll
 from prymlab import (
     HyperellipticCurve,
     ScrollMismatchError,
@@ -42,19 +42,27 @@ def test_dj_rejects_k1():
 
 
 def test_dj_stops_within_g_calls_when_h0_never_reaches_zero(monkeypatch):
-    # h0 one too high everywhere: the walk ends at degree 0 and raises
+    # the pencil's profile planted without pivots never reaches h0 = 0: the
+    # walk stops after g values, and dj_sequence refuses them
     c = standard_curve(5)
-    calls = []
-    real = scroll.h0
+    eta = _eta_k(c, 2)
+    pencil_key = twisted_key(c, (0, (), 2 * c.genus - 2), eta.mask)
+    real_profile, real_pencil = riemann_roch._pole_profile, scroll.pencil_h0s
+    walks = []
 
-    def planted(curve, divisor):
-        calls.append(divisor.degree)
-        return real(curve, divisor) + 1
+    def pivotless(curve, key):
+        cap, orders, pivots = real_profile(curve, key)
+        return cap, orders, [] if key == pencil_key else pivots
 
-    monkeypatch.setattr(scroll, "h0", planted)
+    def recorded(curve, key):
+        walks.append(real_pencil(curve, key))
+        return walks[-1]
+
+    monkeypatch.setattr(riemann_roch, "_pole_profile", pivotless)
+    monkeypatch.setattr(scroll, "pencil_h0s", recorded)
     with pytest.raises(ScrollMismatchError):
-        dj_sequence(c, _eta_k(c, 2))
-    assert len(calls) <= c.genus
+        dj_sequence(c, eta)
+    assert walks == [(8, 6, 5, 4, 3)]
 
 
 def test_dj_rejects_a_zero_drop(monkeypatch):
