@@ -104,7 +104,7 @@ def _cmd_cliff(args) -> int:
         report = closed_form_report(curve, eta, include_probes=not args.no_probes)
     else:
         pool = None
-        if args.pool not in (None, "weierstrass"):
+        if args.pool != "weierstrass":
             data = _load_json(args.pool)
             points = data.get("points", []) if isinstance(data, dict) else None
             if not isinstance(points, list):

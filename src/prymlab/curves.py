@@ -96,19 +96,16 @@ class Divisor:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, data: DivisorData = None):
-        if isinstance(data, Divisor):
-            terms = data._terms
-        else:
-            acc: dict[CurvePoint, int] = {}
-            items = data.items() if isinstance(data, Mapping) else (data or ())
-            for point, mult in items:
-                if not isinstance(mult, int):
-                    raise TypeError("divisor multiplicities must be integers")
-                if mult:
-                    acc[point] = acc.get(point, 0) + mult
-            terms = tuple(
-                (p, n) for p, n in sorted(acc.items(), key=lambda t: t[0].sort_key()) if n
-            )
+        acc: dict[CurvePoint, int] = {}
+        items = data.items() if isinstance(data, Mapping) else (data or ())
+        for point, mult in items:
+            if not isinstance(mult, int):
+                raise TypeError("divisor multiplicities must be integers")
+            if mult:
+                acc[point] = acc.get(point, 0) + mult
+        terms = tuple(
+            (p, n) for p, n in sorted(acc.items(), key=lambda t: t[0].sort_key()) if n
+        )
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
 

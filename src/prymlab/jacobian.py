@@ -30,7 +30,7 @@ from typing import Iterable, Union
 
 from .curves import INFINITY, CurvePoint, Divisor, HyperellipticCurve
 from .polynomials import ONE, Poly, poly_xgcd
-from .riemann_roch import _branch
+from .series import curve_branch
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def _fibre_pair(curve: HyperellipticCurve, point: CurvePoint, n: int) -> tuple[P
     and v the branch of y through P to order n, so u | v^2 - f."""
     x = Poly((-point.x, 1))
     v = Poly()
-    for c in reversed(_branch(curve, point, n)):
+    for c in reversed(curve_branch(curve, point, n)):
         v = v * x + Poly((c,))
     return x**n, v
 
@@ -187,8 +187,7 @@ class TwoTorsionClass:
     def twist(self, divisor: Divisor) -> Divisor:
         """divisor + beta: a representative of the eta-twist, of the same
         degree, whose odd affine-ramification mask is divisor's XOR `mask`."""
-        affine = [p for p in map(self.curve.weierstrass_point, self.subset) if not p.is_infinity]
-        return Divisor([*divisor, *((p, 1) for p in affine), (INFINITY, -len(affine))])
+        return divisor + self.beta_divisor()
 
     def mumford(self) -> MumfordClass:
         """Reduced Mumford form: u the product of (x - r) over the affine

@@ -92,7 +92,7 @@ def _check_curve(curve: HyperellipticCurve, eta: TwoTorsionClass) -> None:
         raise ValueError(f"eta is a class of another curve: {eta.curve!r}")
 
 
-def _check_eta(curve: HyperellipticCurve, eta: TwoTorsionClass) -> None:
+def check_eta(curve: HyperellipticCurve, eta: TwoTorsionClass) -> None:
     """Refuse a class of another curve, and the trivial class."""
     _check_curve(curve, eta)
     if eta.is_trivial:
@@ -142,7 +142,7 @@ def closed_form_report(
     """Curve-level index k-1 with dimension pair (0, 0), witness the sum of
     the first k points of eta's canonical subset, re-certified against the
     h0 oracle before returning."""
-    _check_eta(curve, eta)
+    check_eta(curve, eta)
     k = eta.k
     witness = Divisor.of_points(curve.weierstrass_point(i) for i in sorted(eta.subset)[:k])
     value = clifford_of_divisor(curve, eta, witness)
@@ -190,7 +190,7 @@ def search_report(
     A pool with no contributing bundle is reported with cliff_eta = None,
     not an exception.
     """
-    _check_eta(curve, eta)
+    check_eta(curve, eta)
     g = curve.genus
     if max_degree is None:
         max_degree = g - 1
@@ -269,7 +269,7 @@ def min_secant_degree(
     condition on the twisted canonical system (twisted h0 >= 1); None if no
     such divisor exists up to degree g-1.  On a full ramification pool this
     equals index + 1 = k."""
-    _check_eta(curve, eta)
+    check_eta(curve, eta)
     points, _, _ = _normalised_pool(curve, pool)
     eta_mask = eta.mask
     for e in range(1, curve.genus):
@@ -288,7 +288,7 @@ def geometry_probes(curve: HyperellipticCurve, eta: TwoTorsionClass) -> Geometry
     h0(p + q) >= 1 (nonempty iff k <= 2); trisecant witnesses: degree-3
     divisors D with h0(canonical + eta - D) = g - 3 (nonempty at k = 3).
     """
-    _check_eta(curve, eta)
+    check_eta(curve, eta)
     g = curve.genus
     pool = curve.weierstrass_points
     eta_mask = eta.mask

@@ -23,10 +23,9 @@ row scaling changes neither the rank nor the reduced echelon form.  The
 Taylor rows come from a table per curve and place, keyed by the label
 index of a ramification point or by an ordinary point.  A table of width
 N serves any request of width n <= N by row prefixes: a prefix is the
-width-n row times q^(N-n), again a row scaling.  The branch expansions are
-coefficient tuples, likewise read by prefix.  The Taylor tables and the
-branch expansions are pure memos of at most `curves.POINT_MEMO_CAP`
-entries each per curve, cleared when full.
+width-n row times q^(N-n), again a row scaling.  The Taylor tables
+are a pure memo of at most `curves.POINT_MEMO_CAP` entries per curve,
+cleared when full; the branch expansions come from `series.curve_branch`.
 
 `h0` is memoized per curve by divisor class.  The key of D is
 
@@ -77,7 +76,7 @@ from typing import Iterator, Sequence
 from .curves import CurvePoint, Divisor, HyperellipticCurve, memo_put
 from .linalg import kernel_basis, pivot_columns
 from .polynomials import ONE, Poly, poly_gcd
-from .series import series_sqrt_branch
+from .series import curve_branch
 
 
 @dataclass(frozen=True)
@@ -148,23 +147,6 @@ class RRSpace:
 # valuations
 
 
-def _branch(curve: HyperellipticCurve, point: CurvePoint, precision: int) -> tuple[Fraction, ...]:
-    """The first `precision` coefficients of the curve's sqrt branch through
-    a non-ramification point.  One expansion is cached per x-fibre, that of
-    the point with y > 0; the branch through conj(P) is -y(x), served by
-    negating it.  A cached expansion too short for the request is replaced
-    by one of at least twice its length."""
-    upper = point if point.y > 0 else point.conjugate()
-    cached = curve._branch_cache.get(upper)
-    if cached is None or len(cached) < precision:
-        length = precision if cached is None else max(precision, 2 * len(cached))
-        cached = series_sqrt_branch(curve.f, upper.x, upper.y, length)
-        memo_put(curve._branch_cache, upper, cached)
-    if point is upper:
-        return cached[:precision]
-    return tuple([-c for c in cached[:precision]])
-
-
 def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -> int:
     """ord_p of a nonzero function, exactly.
 
@@ -201,7 +183,7 @@ def valuation(curve: HyperellipticCurve, fn: CurveFunction, point: CurvePoint) -
 
     norm = a * a - b * b * curve.f
     prec = norm.multiplicity_at(x0) + 1  # ord_p(a + b*y) < prec, always finite
-    y = _branch(curve, point, prec)
+    y = curve_branch(curve, point, prec)
     ta, tb = a.taylor_at(x0, prec), b.taylor_at(x0, prec)
     for l in range(prec):
         if ta[l] + sum(tb[l - s] * y[s] for s in range(l + 1)):
@@ -293,7 +275,7 @@ def _space_matrix(
         # then scaled by the lcm of those coefficients' denominators.
         taylor = _taylor_table(curve, place, place.x, na, t)
         q = place.x.denominator
-        branch = [c / q**s for s, c in enumerate(_branch(curve, place, t))]
+        branch = [c / q**s for s, c in enumerate(curve_branch(curve, place, t))]
         scale = lcm(*(c.denominator for c in branch))
         branch = [c.numerator * (scale // c.denominator) for c in branch]
         rows.extend(
@@ -310,8 +292,6 @@ def riemann_roch_space(curve: HyperellipticCurve, divisor: Divisor) -> RRSpace:
     The empty space has dimension 0; no error cases.
     """
     den_factors, na, nb, rows = _space_matrix(curve, *curve.validate_divisor(divisor))
-    if na + nb == 0:
-        return RRSpace(divisor, ())
     den = ONE
     for x0, m in den_factors:
         den = den * Poly((-x0, 1)) ** m

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .curves import HyperellipticCurve
 from .jacobian import TwoTorsionClass
-from .prym import _check_eta
+from .prym import check_eta
 from .riemann_roch import h0, pencil_h0s, twisted_key
 
 
@@ -61,7 +61,7 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     one at each step.  So the drops sum to g-1, and a violation raises, since
     it can only come from an engine defect.
     """
-    _check_eta(curve, eta)
+    check_eta(curve, eta)
     if eta.k < 2:
         raise ValueError("k = 1: the twisted canonical system has base points")
     g = curve.genus

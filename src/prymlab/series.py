@@ -5,13 +5,16 @@ a unique analytic branch y(x) with y(x0) = y0.  Expanding that branch to
 finite precision is how vanishing orders at non-ramification points are
 certified.  A truncated series is the tuple of its first `precision`
 coefficients in powers of (x - x0); the precision is its length, carried
-explicitly and never silently lost.
+explicitly and never silently lost.  `curve_branch` keeps one expansion per
+x-fibre of a curve, read by prefix: a pure memo of at most
+`curves.POINT_MEMO_CAP` entries per curve, cleared when full.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .curves import CurvePoint, HyperellipticCurve, memo_put
 from .polynomials import Coefficient, Poly, as_fraction
 
 
@@ -44,3 +47,20 @@ def series_sqrt_branch(
     for n in range(1, precision):
         y.append((taylor[n] - sum(y[i] * y[n - i] for i in range(1, n))) * inv)
     return tuple(y)
+
+
+def curve_branch(curve: HyperellipticCurve, point: CurvePoint, precision: int) -> tuple[Fraction, ...]:
+    """The first `precision` coefficients of the curve's sqrt branch through
+    a non-ramification point.  One expansion is cached per x-fibre, that of
+    the point with y > 0; the branch through conj(P) is -y(x), served by
+    negating it.  A cached expansion too short for the request is replaced
+    by one of at least twice its length."""
+    upper = point if point.y > 0 else point.conjugate()
+    cached = curve._branch_cache.get(upper)
+    if cached is None or len(cached) < precision:
+        length = precision if cached is None else max(precision, 2 * len(cached))
+        cached = series_sqrt_branch(curve.f, upper.x, upper.y, length)
+        memo_put(curve._branch_cache, upper, cached)
+    if point is upper:
+        return cached[:precision]
+    return tuple([-c for c in cached[:precision]])

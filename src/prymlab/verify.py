@@ -129,25 +129,15 @@ def _etas_for(curve: HyperellipticCurve) -> list[TwoTorsionClass]:
 
 
 Reports = dict[TwoTorsionClass, PrymReport]
-
-
-def _searched(reports: Reports, eta: TwoTorsionClass) -> PrymReport:
-    """The full-pool search report of eta, searched on the first request of
-    the run; a search that raises stores nothing, so every reader fails."""
-    if eta not in reports:
-        reports[eta] = search_report(eta.curve, eta)
-    return reports[eta]
-
-
 Probes = dict[TwoTorsionClass, GeometryProbes]
 
 
-def _probed(probes: Probes, eta: TwoTorsionClass) -> GeometryProbes:
-    """The geometry probes of eta, probed on the first request of the run;
-    a probe that raises stores nothing, so every reader fails."""
-    if eta not in probes:
-        probes[eta] = geometry_probes(eta.curve, eta)
-    return probes[eta]
+def _once(table: dict, compute: Callable, eta: TwoTorsionClass):
+    """compute(eta.curve, eta) on the first request of the run, then from `table`;
+    a computation that raises stores nothing, so every reader fails."""
+    if eta not in table:
+        table[eta] = compute(eta.curve, eta)
+    return table[eta]
 
 
 def _random_divisor(rng: random.Random, points: Sequence, max_support: int = 4) -> Divisor:
@@ -459,7 +449,7 @@ def check_search_matches_closed_form(genus: int, reports: Reports) -> str:
     curve = standard_curve(genus)
     etas = _etas_for(curve)
     for eta in etas:
-        report = _searched(reports, eta)
+        report = _once(reports, search_report, eta)
         closed = closed_form_report(curve, eta)
         require(
             report.cliff_eta == closed.cliff_eta == eta.k - 1,
@@ -476,10 +466,10 @@ def check_zero_classification(genus: int, reports: Reports, probes: Probes) -> s
     etas = _etas_for(curve)
     zeros = 0
     for eta in etas:
-        value = _searched(reports, eta).cliff_eta
+        value = _once(reports, search_report, eta).cliff_eta
         require((value == 0) == (eta.k == 1), f"{eta}: value {value}, k {eta.k}")
         if eta.k == 1:
-            probe = _probed(probes, eta)
+            probe = _once(probes, geometry_probes, eta)
             expected = {curve.weierstrass_point(i) for i in eta.subset}
             require(set(probe.base_points) == expected, f"{eta}: base points {probe.base_points}")
             zeros += 1
@@ -495,12 +485,12 @@ def check_upper_bound_attained(genus: int, reports: Reports) -> str:
     curve = standard_curve(genus)
     ceiling = (genus - 1) // 2
     if genus <= EXHAUSTIVE_TO:
-        values = [_searched(reports, eta).cliff_eta for eta in enumerate_two_torsion(curve)]
+        values = [_once(reports, search_report, eta).cliff_eta for eta in enumerate_two_torsion(curve)]
     else:
         values = [closed_form_report(curve, eta).cliff_eta for eta in enumerate_two_torsion(curve)]
         k_max = (genus + 1) // 2
         for eta in sample_etas_for_k(curve, k_max, 3):
-            require(_searched(reports, eta).cliff_eta == k_max - 1)
+            require(_once(reports, search_report, eta).cliff_eta == k_max - 1)
     require(all(0 <= v <= ceiling for v in values), "a value escaped the bounds")
     require(max(values) == ceiling, f"max {max(values)} != ceiling {ceiling}")
     return f"max over {len(values)} classes is {ceiling}"
@@ -511,7 +501,7 @@ def check_dimension_pairs(genus: int, reports: Reports) -> str:
     curve = standard_curve(genus)
     etas = _etas_for(curve)
     for eta in etas:
-        pair = _searched(reports, eta).cliff_dim
+        pair = _once(reports, search_report, eta).cliff_dim
         require(pair is not None and not (pair[0] == 0 and pair[1] >= 1), f"{eta}: {pair}")
         require(pair != (1, 1), f"{eta}: pair (1,1)")
         require(pair == (0, 0), f"{eta}: pair {pair}")
@@ -547,7 +537,7 @@ def check_witness_base_disjoint(genus: int, reports: Reports) -> str:
     probes = curve.weierstrass_points
     etas = sample_etas(curve)
     for eta in etas:
-        witness = _searched(reports, eta).witness
+        witness = _once(reports, search_report, eta).witness
         shared = _base_points(curve, witness, probes) & _base_points(
             curve, eta.twist(witness), probes
         )
@@ -568,7 +558,7 @@ def check_iota(genus: int, reports: Reports) -> str:
         require(closed_form_report(curve, eta).iota_cliff == expected, f"{eta}")
     sampled = [sample_etas_for_k(curve, k)[1] for k in range(1, (genus + 1) // 2 + 1)]
     for eta in sampled:
-        require(_searched(reports, eta).iota_cliff == (0 if eta.k == 1 else 2), f"{eta}")
+        require(_once(reports, search_report, eta).iota_cliff == (0 if eta.k == 1 else 2), f"{eta}")
     return f"{len(etas)} closed-form values, {len(sampled)} search values"
 
 
@@ -583,11 +573,11 @@ def check_base_points_k1(genus: int, probes: Probes) -> str:
     etas = [e for e in _etas_for(curve) if e.k == 1]
     others = [e for e in sample_etas(curve, 2) if e.k >= 2]
     for eta in etas:
-        probe = _probed(probes, eta)
+        probe = _once(probes, geometry_probes, eta)
         expected = {curve.weierstrass_point(i) for i in eta.subset}
         require(set(probe.base_points) == expected, f"{eta}: {probe.base_points}")
     for eta in others:
-        require(not _probed(probes, eta).base_points, f"{eta} has base points")
+        require(not _once(probes, geometry_probes, eta).base_points, f"{eta} has base points")
     return f"{len(etas)} base-point classes, {len(others)} free classes"
 
 
@@ -597,7 +587,7 @@ def check_k2_probe_shape(genus: int, probes: Probes) -> str:
     curve = standard_curve(genus)
     etas = sample_etas_for_k(curve, 2, 3)
     for eta in etas:
-        probe = _probed(probes, eta)
+        probe = _once(probes, geometry_probes, eta)
         require(not probe.base_points, f"{eta} has base points")
         require(probe.unseparated_pairs, f"{eta} separates all pairs")
     return f"{len(etas)} classes at k=2"
@@ -610,7 +600,7 @@ def check_k3_trisecant(genus: int, probes: Probes) -> str:
     curve = standard_curve(genus)
     etas = sample_etas_for_k(curve, 3, 3)
     for eta in etas:
-        probe = _probed(probes, eta)
+        probe = _once(probes, geometry_probes, eta)
         require(probe.trisecant_witnesses, f"{eta}: no trisecant")
         require(not probe.unseparated_pairs, f"{eta}: not an embedding")
         canonical_witness = closed_form_report(curve, eta).witness

@@ -28,8 +28,8 @@ MUTANTS = (
     Mutant(
         "branch-unscaled",
         "riemann_roch.py",
-        "branch = [c / q**s for s, c in enumerate(_branch(curve, place, t))]",
-        "branch = [c for s, c in enumerate(_branch(curve, place, t))]",
+        "branch = [c / q**s for s, c in enumerate(curve_branch(curve, place, t))]",
+        "branch = [c for s, c in enumerate(curve_branch(curve, place, t))]",
         "killed: tests/test_riemann_roch.py::"
         "test_fractional_roots_riemann_roch_with_ordinary_points",
     ),
@@ -57,7 +57,7 @@ MUTANTS = (
     ),
     Mutant(
         "conjugate-branch-unnegated",
-        "riemann_roch.py",
+        "series.py",
         "return tuple([-c for c in cached[:precision]])",
         "return tuple(cached[:precision])",
         "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[engine]",
@@ -100,8 +100,8 @@ MUTANTS = (
     Mutant(
         "twist-minus-beta",
         "jacobian.py",
-        "((p, 1) for p in affine), (INFINITY, -len(affine))",
-        "((p, -1) for p in affine), (INFINITY, len(affine))",
+        "return divisor + self.beta_divisor()",
+        "return divisor - self.beta_divisor()",
         "killed: tests/test_jacobian.py::test_twist_is_the_sum_with_the_beta_divisor "
         "(d - beta and d + beta are one class, since 2 * beta is principal, but not one divisor)",
     ),
@@ -211,5 +211,40 @@ MUTANTS = (
         "2 * j + 2 * curve.genus + 1",
         "2 * j + 2 * curve.genus - 1",
         "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[scroll]",
+    ),
+    Mutant(
+        "once-per-run-recomputes",
+        "verify.py",
+        "if eta not in table:",
+        "if True:",
+        "killed: tests/test_verify.py::test_each_class_is_searched_once_per_run",
+    ),
+    Mutant(
+        "cap-off-by-one",
+        "riemann_roch.py",
+        "cap = 2 * sum(m for _, m in den) + n_inf",
+        "cap = 2 * sum(m for _, m in den) + n_inf + 1",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]",
+    ),
+    Mutant(
+        "no-mod-2-fold",
+        "jacobian.py",
+        "for i, n in ramification if n % 2]",
+        "for i, n in ramification if n]",
+        "killed: perfbench/test_perfbench.py::test_timed_run_prints_every_end_to_end_metric",
+    ),
+    Mutant(
+        "valuation-convolution-short",
+        "riemann_roch.py",
+        "sum(tb[l - s] * y[s] for s in range(l + 1))",
+        "sum(tb[l - s] * y[s] for s in range(l))",
+        "killed: perfbench/test_perfbench.py::test_timed_run_prints_every_end_to_end_metric",
+    ),
+    Mutant(
+        "poly-quotient-unscaled",
+        "polynomials.py",
+        "_poly([x * db for x in quot], s * da)",
+        "_poly(quot, s * da)",
+        "killed: perfbench/test_perfbench.py::test_timed_run_prints_every_end_to_end_metric",
     ),
 )

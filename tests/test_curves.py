@@ -105,6 +105,16 @@ def test_divisor_normalisation_and_hash():
     assert not (a - 3 * Divisor.of_point(w[2])).is_effective
 
 
+def test_divisor_of_a_divisor_is_an_equal_copy():
+    # a Divisor iterates its (point, n) terms, so the general path rebuilds them
+    c, marked = curve_with_marked_point(3)
+    w2 = c.weierstrass_point("w2")
+    d = Divisor(((w2, -1), (marked, 2), (marked.conjugate(), -3), (INFINITY, 5)))
+    copy = Divisor(d)
+    assert copy == d and copy.terms == d.terms and hash(copy) == hash(d)
+    assert Divisor(Divisor()) == Divisor() and Divisor(Divisor()).is_zero
+
+
 def test_curve_identity_and_label_errors():
     assert standard_curve(2) == HyperellipticCurve([5, 4, 3, 2, 1])
     c = standard_curve(2)

@@ -74,3 +74,45 @@ def test_package_root_exports_what_it_imports():
     )
     missing = sorted(set(_imported_names(tree)) - set(exported))
     assert not missing, f"__init__ imports names missing from __all__: {missing}"
+
+
+def _package_imports(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every name imported from a package module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.level == 1 or node.module.split(".")[0] == "prymlab"
+        ):
+            module = node.module.split(".")[-1]
+            out.extend((module, alias.name, node.lineno) for alias in node.names)
+    return out
+
+
+def test_private_names_stay_in_their_module():
+    private = [
+        f"{path.name}:{line} imports {module}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module, name, line in _package_imports(ast.parse(path.read_text()))
+        if name.startswith("_")
+    ]
+    assert not private, f"module privates imported from another module: {private}"
+
+
+def test_the_private_import_lint_sees_relative_and_absolute_imports():
+    tree = ast.parse("from .riemann_roch import _branch, h0\nfrom prymlab.prym import _check_eta\n")
+    assert _package_imports(tree) == [
+        ("riemann_roch", "_branch", 1), ("riemann_roch", "h0", 1), ("prym", "_check_eta", 2)
+    ]
+
+
+def test_cantor_arithmetic_does_not_reach_the_kernel_engine():
+    # jacobian cross-checks riemann_roch, so it may not depend on it, even
+    # through another package module
+    seen, todo = set(), ["jacobian"]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+            todo.extend(m for m, _, _ in _package_imports(tree))
+    assert "riemann_roch" not in seen, sorted(seen)
