@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .curves import HyperellipticCurve
 from .polynomials import MAX_STRING_DIGITS
@@ -81,9 +82,7 @@ def _cmd_eta_list(args) -> int:
 
     curve = _load_curve(args.curve)
     classes = enumerate_two_torsion(curve)
-    histogram: dict[str, int] = {}
-    for c in classes:
-        histogram[str(c.k)] = histogram.get(str(c.k), 0) + 1
+    histogram = Counter(str(c.k) for c in classes)
     payload = {
         "count": len(classes),
         "k_histogram": histogram,
@@ -101,6 +100,8 @@ def _cmd_cliff(args) -> int:
     curve = _load_curve(args.curve)
     eta = eta_from_labels(curve, args.eta)
     if args.mode == "closed":
+        if args.pool != "weierstrass" or args.max_degree is not None:
+            raise ValueError("--pool and --max-degree apply only to --mode search")
         report = closed_form_report(curve, eta, include_probes=not args.no_probes)
     else:
         pool = None

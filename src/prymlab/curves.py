@@ -361,9 +361,7 @@ def curve_with_marked_point(genus: int) -> tuple[HyperellipticCurve, CurvePoint]
     """
     if genus < 2:
         raise ValueError("genus must be >= 2")
-    m = 3
-    while m * m <= genus:
-        m += 1
+    m = max(3, math.isqrt(genus) + 1)
     square = m * m
     last_root = square if genus % 2 == 1 else -square
     roots = [a for i in range(1, genus + 1) for a in (i, -i)] + [last_root]

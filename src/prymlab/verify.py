@@ -7,11 +7,11 @@ so `python -O` cannot silence a check.  Randomized checks seed their
 generators from the claim id, so a suite run is a pure function of
 (name, genus_max).
 
-The six claims that read full-pool search reports (iota among them) share
-one table per run, mapping each 2-torsion class to its report: a class is
-searched the first time a claim asks for it, once per run, and the table
-dies with the run.  The four claims that read geometry probes share a second
-table of the same kind, so each class is probed at most once per run.  Each
+The six claims that read full-pool search reports (iota among them) call
+one `functools.cache` of `search_report` per run: a class is searched the
+first time a claim asks for it, once per run, and the cache dies with the
+run.  The four claims that read geometry probes share a second cache, of
+`geometry_probes`, so each class is probed at most once per run.  Each
 check takes its sample sizes from its genus; class enumerations are
 exhaustive through genus EXHAUSTIVE_TO.
 
@@ -24,8 +24,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import comb
 from typing import Callable, Sequence
 
@@ -126,18 +128,6 @@ def sample_etas(curve: HyperellipticCurve, per_k: int = 3) -> list[TwoTorsionCla
 def _etas_for(curve: HyperellipticCurve) -> list[TwoTorsionClass]:
     """Every class through genus EXHAUSTIVE_TO, a sample above it."""
     return enumerate_two_torsion(curve) if curve.genus <= EXHAUSTIVE_TO else sample_etas(curve)
-
-
-Reports = dict[TwoTorsionClass, PrymReport]
-Probes = dict[TwoTorsionClass, GeometryProbes]
-
-
-def _once(table: dict, compute: Callable, eta: TwoTorsionClass):
-    """compute(eta.curve, eta) on the first request of the run, then from `table`;
-    a computation that raises stores nothing, so every reader fails."""
-    if eta not in table:
-        table[eta] = compute(eta.curve, eta)
-    return table[eta]
 
 
 def _random_divisor(rng: random.Random, points: Sequence, max_support: int = 4) -> Divisor:
@@ -309,14 +299,12 @@ def check_two_torsion_count(genus: int) -> str:
     classes = enumerate_two_torsion(curve)
     require(len(classes) == 2 ** (2 * genus) - 1, f"count {len(classes)}")
     require(len(set(classes)) == len(classes), "duplicate canonical classes")
-    histogram: dict[int, int] = {}
-    for c in classes:
-        histogram[c.k] = histogram.get(c.k, 0) + 1
+    histogram = Counter(c.k for c in classes)
     for k in range(1, (genus + 1) // 2 + 1):
         want = comb(2 * genus + 2, 2 * k)
         if 2 * k == genus + 1:
             want //= 2
-        require(histogram.get(k, 0) == want, f"k={k}: {histogram.get(k, 0)} != {want}")
+        require(histogram[k] == want, f"k={k}: {histogram[k]} != {want}")
     return f"{len(classes)} classes, histogram {sorted(histogram.items())}"
 
 
@@ -381,14 +369,8 @@ def _unrank_pair(n: int, index: int) -> tuple[int, int]:
     def before(i: int) -> int:  # the pairs whose first entry is below i
         return i * n - i * (i + 1) // 2
 
-    lo, hi = 0, n - 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if before(mid) <= index:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo, lo + 1 + index - before(lo)
+    i = bisect_right(range(n - 1), index, key=before) - 1
+    return i, i + 1 + index - before(i)
 
 
 def check_group_closure(genus: int) -> str:
@@ -443,13 +425,13 @@ def check_distinct_k_distinct_class(genus: int) -> str:
 # index checks
 
 
-def check_search_matches_closed_form(genus: int, reports: Reports) -> str:
+def check_search_matches_closed_form(genus: int, search: Callable[..., PrymReport]) -> str:
     """Full-pool search returns k-1 with dimension pair (0, 0), matching the
     closed form, for every (or every sampled) class."""
     curve = standard_curve(genus)
     etas = _etas_for(curve)
     for eta in etas:
-        report = _once(reports, search_report, eta)
+        report = search(curve, eta)
         closed = closed_form_report(curve, eta)
         require(
             report.cliff_eta == closed.cliff_eta == eta.k - 1,
@@ -459,24 +441,26 @@ def check_search_matches_closed_form(genus: int, reports: Reports) -> str:
     return f"{len(etas)} classes agree at k-1 with pair (0,0)"
 
 
-def check_zero_classification(genus: int, reports: Reports, probes: Probes) -> str:
+def check_zero_classification(
+    genus: int, search: Callable[..., PrymReport], probe: Callable[..., GeometryProbes]
+) -> str:
     """Index 0 occurs exactly for k = 1, and then the twisted canonical
     system has exactly the two subset points as base points."""
     curve = standard_curve(genus)
     etas = _etas_for(curve)
     zeros = 0
     for eta in etas:
-        value = _once(reports, search_report, eta).cliff_eta
+        value = search(curve, eta).cliff_eta
         require((value == 0) == (eta.k == 1), f"{eta}: value {value}, k {eta.k}")
         if eta.k == 1:
-            probe = _once(probes, geometry_probes, eta)
+            probes = probe(curve, eta)
             expected = {curve.weierstrass_point(i) for i in eta.subset}
-            require(set(probe.base_points) == expected, f"{eta}: base points {probe.base_points}")
+            require(set(probes.base_points) == expected, f"{eta}: base points {probes.base_points}")
             zeros += 1
     return f"{zeros} base-point classes verified among {len(etas)}"
 
 
-def check_upper_bound_attained(genus: int, reports: Reports) -> str:
+def check_upper_bound_attained(genus: int, search: Callable[..., PrymReport]) -> str:
     """Every index is <= floor((g-1)/2) and the ceiling is attained.
 
     Above genus EXHAUSTIVE_TO the ceiling certificate is a full search at
@@ -485,23 +469,23 @@ def check_upper_bound_attained(genus: int, reports: Reports) -> str:
     curve = standard_curve(genus)
     ceiling = (genus - 1) // 2
     if genus <= EXHAUSTIVE_TO:
-        values = [_once(reports, search_report, eta).cliff_eta for eta in enumerate_two_torsion(curve)]
+        values = [search(curve, eta).cliff_eta for eta in enumerate_two_torsion(curve)]
     else:
         values = [closed_form_report(curve, eta).cliff_eta for eta in enumerate_two_torsion(curve)]
         k_max = (genus + 1) // 2
         for eta in sample_etas_for_k(curve, k_max, 3):
-            require(_once(reports, search_report, eta).cliff_eta == k_max - 1)
+            require(search(curve, eta).cliff_eta == k_max - 1)
     require(all(0 <= v <= ceiling for v in values), "a value escaped the bounds")
     require(max(values) == ceiling, f"max {max(values)} != ceiling {ceiling}")
     return f"max over {len(values)} classes is {ceiling}"
 
 
-def check_dimension_pairs(genus: int, reports: Reports) -> str:
+def check_dimension_pairs(genus: int, search: Callable[..., PrymReport]) -> str:
     """The dimension pair is always (0,0): never (0, r' >= 1), never (1,1)."""
     curve = standard_curve(genus)
     etas = _etas_for(curve)
     for eta in etas:
-        pair = _once(reports, search_report, eta).cliff_dim
+        pair = search(curve, eta).cliff_dim
         require(pair is not None and not (pair[0] == 0 and pair[1] >= 1), f"{eta}: {pair}")
         require(pair != (1, 1), f"{eta}: pair (1,1)")
         require(pair == (0, 0), f"{eta}: pair {pair}")
@@ -531,13 +515,13 @@ def check_index_symmetry(genus: int) -> str:
     return f"{checked} contributing bundles symmetric"
 
 
-def check_witness_base_disjoint(genus: int, reports: Reports) -> str:
+def check_witness_base_disjoint(genus: int, search: Callable[..., PrymReport]) -> str:
     """A witness of the minimal index and its twist share no base point."""
     curve = standard_curve(genus)
     probes = curve.weierstrass_points
     etas = sample_etas(curve)
     for eta in etas:
-        witness = _once(reports, search_report, eta).witness
+        witness = search(curve, eta).witness
         shared = _base_points(curve, witness, probes) & _base_points(
             curve, eta.twist(witness), probes
         )
@@ -545,11 +529,11 @@ def check_witness_base_disjoint(genus: int, reports: Reports) -> str:
     return f"{len(etas)} witnesses checked"
 
 
-def check_iota(genus: int, reports: Reports) -> str:
+def check_iota(genus: int, search: Callable[..., PrymReport]) -> str:
     """The invariant index of the double cover is 0 for k = 1 and 2 for
     k >= 2 (gonality 2 caps the second argument of the minimum), from the
     closed form for every (or every sampled) class and from the search on
-    the middle of each k's three sampled classes, which the run's table
+    the middle of each k's three sampled classes, which the run's cache
     already holds."""
     curve = standard_curve(genus)
     etas = _etas_for(curve)
@@ -558,7 +542,7 @@ def check_iota(genus: int, reports: Reports) -> str:
         require(closed_form_report(curve, eta).iota_cliff == expected, f"{eta}")
     sampled = [sample_etas_for_k(curve, k)[1] for k in range(1, (genus + 1) // 2 + 1)]
     for eta in sampled:
-        require(_once(reports, search_report, eta).iota_cliff == (0 if eta.k == 1 else 2), f"{eta}")
+        require(search(curve, eta).iota_cliff == (0 if eta.k == 1 else 2), f"{eta}")
     return f"{len(etas)} closed-form values, {len(sampled)} search values"
 
 
@@ -566,45 +550,45 @@ def check_iota(genus: int, reports: Reports) -> str:
 # classification probes
 
 
-def check_base_points_k1(genus: int, probes: Probes) -> str:
+def check_base_points_k1(genus: int, probe: Callable[..., GeometryProbes]) -> str:
     """k = 1 classes have exactly their two subset points as base points of
     the twisted canonical system; k >= 2 classes have none."""
     curve = standard_curve(genus)
     etas = [e for e in _etas_for(curve) if e.k == 1]
     others = [e for e in sample_etas(curve, 2) if e.k >= 2]
     for eta in etas:
-        probe = _once(probes, geometry_probes, eta)
+        probes = probe(curve, eta)
         expected = {curve.weierstrass_point(i) for i in eta.subset}
-        require(set(probe.base_points) == expected, f"{eta}: {probe.base_points}")
+        require(set(probes.base_points) == expected, f"{eta}: {probes.base_points}")
     for eta in others:
-        require(not _once(probes, geometry_probes, eta).base_points, f"{eta} has base points")
+        require(not probe(curve, eta).base_points, f"{eta} has base points")
     return f"{len(etas)} base-point classes, {len(others)} free classes"
 
 
-def check_k2_probe_shape(genus: int, probes: Probes) -> str:
+def check_k2_probe_shape(genus: int, probe: Callable[..., GeometryProbes]) -> str:
     """k = 2: base point free but some pair of points is not separated."""
     require(genus >= 3)
     curve = standard_curve(genus)
     etas = sample_etas_for_k(curve, 2, 3)
     for eta in etas:
-        probe = _once(probes, geometry_probes, eta)
-        require(not probe.base_points, f"{eta} has base points")
-        require(probe.unseparated_pairs, f"{eta} separates all pairs")
+        probes = probe(curve, eta)
+        require(not probes.base_points, f"{eta} has base points")
+        require(probes.unseparated_pairs, f"{eta} separates all pairs")
     return f"{len(etas)} classes at k=2"
 
 
-def check_k3_trisecant(genus: int, probes: Probes) -> str:
+def check_k3_trisecant(genus: int, probe: Callable[..., GeometryProbes]) -> str:
     """k = 3: the embedded curve has a trisecant line; the canonical witness
     (first three subset points) is among the degree-3 witnesses."""
     require(genus >= 5)
     curve = standard_curve(genus)
     etas = sample_etas_for_k(curve, 3, 3)
     for eta in etas:
-        probe = _once(probes, geometry_probes, eta)
-        require(probe.trisecant_witnesses, f"{eta}: no trisecant")
-        require(not probe.unseparated_pairs, f"{eta}: not an embedding")
+        probes = probe(curve, eta)
+        require(probes.trisecant_witnesses, f"{eta}: no trisecant")
+        require(not probes.unseparated_pairs, f"{eta}: not an embedding")
         canonical_witness = closed_form_report(curve, eta).witness
-        require(canonical_witness in probe.trisecant_witnesses, f"{eta}: canonical witness missing")
+        require(canonical_witness in probes.trisecant_witnesses, f"{eta}: canonical witness missing")
         drop = h0(curve, eta.twist(curve.canonical_divisor() - canonical_witness))
         require(drop == genus - 3, f"{eta}: h0 drop {drop} != g-3")
     return f"{len(etas)} classes at k=3"
@@ -699,7 +683,9 @@ def check_park_table() -> str:
 Check = tuple[str, Callable[[], str]]
 
 
-def _suite_units(name: str, genus_max: int, reports: Reports, probes: Probes) -> list[Check]:
+def _suite_units(
+    name: str, genus_max: int, search: Callable[..., PrymReport], probe: Callable[..., GeometryProbes]
+) -> list[Check]:
     genera = list(range(2, genus_max + 1))
     units: list[Check] = []
 
@@ -721,23 +707,23 @@ def _suite_units(name: str, genus_max: int, reports: Reports, probes: Probes) ->
             units.append((f"distinct-k-g{g}", partial(check_distinct_k_distinct_class, g)))
     elif name == "prym-clifford":
         for g in genera:
-            searched = (g, reports)
+            searched = (g, search)
             units.append(
                 (f"search-matches-closed-g{g}", partial(check_search_matches_closed_form, *searched))
             )
-            units.append((f"zero-iff-k1-g{g}", partial(check_zero_classification, *searched, probes)))
+            units.append((f"zero-iff-k1-g{g}", partial(check_zero_classification, *searched, probe)))
             units.append((f"bound-attained-g{g}", partial(check_upper_bound_attained, *searched)))
             units.append((f"dimension-pairs-g{g}", partial(check_dimension_pairs, *searched)))
             units.append((f"index-symmetry-g{g}", partial(check_index_symmetry, g)))
-            units.append((f"witness-base-disjoint-g{g}", partial(check_witness_base_disjoint, g, reports)))
+            units.append((f"witness-base-disjoint-g{g}", partial(check_witness_base_disjoint, *searched)))
             units.append((f"iota-g{g}", partial(check_iota, *searched)))
     elif name == "classification-probes":
         for g in genera:
-            units.append((f"base-points-k1-g{g}", partial(check_base_points_k1, g, probes)))
+            units.append((f"base-points-k1-g{g}", partial(check_base_points_k1, g, probe)))
             if g >= 3:
-                units.append((f"k2-shape-g{g}", partial(check_k2_probe_shape, g, probes)))
+                units.append((f"k2-shape-g{g}", partial(check_k2_probe_shape, g, probe)))
             if g >= 5:
-                units.append((f"k3-trisecant-g{g}", partial(check_k3_trisecant, g, probes)))
+                units.append((f"k3-trisecant-g{g}", partial(check_k3_trisecant, g, probe)))
             units.append((f"min-secant-e0-g{g}", partial(check_min_secant_equals_k, g)))
             units.append((f"secant-crosscheck-g{g}", partial(check_secant_crosscheck, g)))
     elif name == "scroll":
@@ -747,7 +733,7 @@ def _suite_units(name: str, genus_max: int, reports: Reports, probes: Probes) ->
                 units.append((f"dj-profile-g{g}", partial(check_dj_profile, g)))
     elif name == "all":
         for sub in SUITE_NAMES[:-1]:
-            units.extend(_suite_units(sub, genus_max, reports, probes))
+            units.extend(_suite_units(sub, genus_max, search, probe))
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     return units
@@ -758,14 +744,15 @@ def run_suite(name: str, genus_max: int) -> VerificationSuite:
 
     Exhaustive class enumerations stop at genus EXHAUSTIVE_TO; higher
     genera are covered on deterministic samples.  Each class is searched and
-    probed at most once per call: the claims read one table of search
-    reports and one of geometry probes, built here and dropped on return, so
-    no report outlives the run.  The result is a pure function of
+    probed at most once per call: the claims call one `functools.cache` of
+    `search_report` and one of `geometry_probes`, made here and dropped on
+    return, so no report outlives the run; a call that raises is not cached,
+    so every claim that reads it fails.  The result is a pure function of
     (name, genus_max).
     """
     if genus_max < 2:
         raise ValueError("genus_max must be >= 2")
-    units = _suite_units(name, genus_max, {}, {})
+    units = _suite_units(name, genus_max, cache(search_report), cache(geometry_probes))
     started = time.perf_counter()
     checks = []
     for claim, fn in units:

@@ -16,6 +16,11 @@ routine that is replaced gets mutants of its replacement.
 from typing import NamedTuple
 
 
+# A mutant that breaks the collection of a test file is killed by the file as
+# a whole, not by one test in it: its note reads "killed: FILE::(collection)".
+COLLECTION = "(collection)"
+
+
 class Mutant(NamedTuple):
     name: str
     file: str
@@ -215,8 +220,8 @@ MUTANTS = (
     Mutant(
         "once-per-run-recomputes",
         "verify.py",
-        "if eta not in table:",
-        "if True:",
+        "cache(search_report)",
+        "search_report",
         "killed: tests/test_verify.py::test_each_class_is_searched_once_per_run",
     ),
     Mutant(
@@ -246,5 +251,28 @@ MUTANTS = (
         "_poly([x * db for x in quot], s * da)",
         "_poly(quot, s * da)",
         "killed: perfbench/test_perfbench.py::test_timed_run_prints_every_end_to_end_metric",
+    ),
+    Mutant(
+        "unrank-pair-range-short",
+        "verify.py",
+        "bisect_right(range(n - 1), index, key=before)",
+        "bisect_right(range(n - 2), index, key=before)",
+        "killed: tests/test_verify.py::test_unrank_pair_lists_the_pairs_of_combinations"
+        " (only the last pair, (n - 2, n - 1), is unranked wrong)",
+    ),
+    Mutant(
+        "mumford-second-fibre-replaces-first",
+        "jacobian.py",
+        "u, v = _compose(curve, u, v, *pair)",
+        "u, v = pair",
+        "killed: tests/test_jacobian.py::test_mumford_of_divisor_joins_two_ordinary_fibres",
+    ),
+    Mutant(
+        "poly-product-drops-a-denominator",
+        "polynomials.py",
+        "return _poly(out, self.denominator * other.denominator)",
+        "return _poly(out, self.denominator)",
+        "killed: tests/test_jacobian.py::(collection) (its parameters build the shifted"
+        " marked curve, and with f wrong its marked point fails `curve.contains`)",
     ),
 )

@@ -6,10 +6,11 @@
 For each mutant the repository (without `.git`) is copied to a temporary
 directory, the mutant's one edit is applied to the copy, and the tier-1
 command runs there with `-x --ignore=tests/test_mutants.py`.  A line per
-mutant says "killed" with the first failing test, or "survived".  The exit
-status is 1 when any result disagrees with the mutant's note: a "killed:"
-note must name the test that killed it, and an "equivalent:" mutant must
-survive.  Not part of tier-1: one mutant costs up to a full suite run.
+mutant says "killed" with the first failing test (FILE::(collection) when a
+test file cannot be collected), or "survived".  The exit status is 1 when
+any result disagrees with the mutant's note: a "killed:" note must name the
+test that killed it, and an "equivalent:" mutant must survive.  Not part of
+tier-1: one mutant costs up to a full suite run.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from mutants import MUTANTS, Mutant
+from mutants import COLLECTION, MUTANTS, Mutant
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
@@ -32,7 +33,8 @@ FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 
 
 def run(mutant: Mutant) -> str | None:
-    """The first test that fails on the mutated copy, or None if none does."""
+    """The first test that fails on the mutated copy, FILE::(collection) when
+    the first failure is a file that cannot be collected, or None if none does."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -49,7 +51,10 @@ def run(mutant: Mutant) -> str | None:
     if proc.returncode == 0:
         return None
     found = FIRST_FAILURE.search(proc.stdout)
-    return found.group(1) if found else f"(exit {proc.returncode}, no failing test named)"
+    if not found:
+        return f"(exit {proc.returncode}, no failing test named)"
+    killer = found.group(1)
+    return killer if "::" in killer else f"{killer}::{COLLECTION}"
 
 
 def main(names: list[str]) -> int:

@@ -47,7 +47,7 @@ def test_criterion_1_search_reproduces_closed_form():
     full ramification pool with max_degree g-1 returns exactly k-1 and
     dimension pair (0,0), matching the closed form."""
     started = time.perf_counter()
-    details = [check_search_matches_closed_form(g, {}) for g in (2, 3, 4)]
+    details = [check_search_matches_closed_form(g, search_report) for g in (2, 3, 4)]
     _report(1, started, details)
 
 
@@ -55,7 +55,7 @@ def test_criterion_2_zero_index_classification():
     """Index 0 happens exactly at k = 1, and then the twisted canonical
     system has exactly the two subset points as base points."""
     started = time.perf_counter()
-    details = [check_zero_classification(g, {}, {}) for g in (2, 3, 4)]
+    details = [check_zero_classification(g, search_report, geometry_probes) for g in (2, 3, 4)]
     _report(2, started, details)
 
 
@@ -65,9 +65,9 @@ def test_criterion_3_bound_attainment():
     all 1023 classes plus full searches at maximal k."""
     started = time.perf_counter()
     details = [
-        check_upper_bound_attained(3, {}),
-        check_upper_bound_attained(4, {}),
-        check_upper_bound_attained(5, {}),
+        check_upper_bound_attained(3, search_report),
+        check_upper_bound_attained(4, search_report),
+        check_upper_bound_attained(5, search_report),
     ]
     _report(3, started, details)
 
@@ -105,7 +105,7 @@ def test_criterion_7_iota_invariant():
     """The invariant index of the double cover is 0 for k = 1 and 2 for all
     k >= 2, across genus <= 5 (exhaustive; search cross-checks sampled)."""
     started = time.perf_counter()
-    details = [check_iota(g, {}) for g in (2, 3, 4, 5)]
+    details = [check_iota(g, search_report) for g in (2, 3, 4, 5)]
     # check_iota samples above genus 4; the closed form covers every class
     c5 = standard_curve(5)
     classes = enumerate_two_torsion(c5)
@@ -121,8 +121,8 @@ def test_criterion_8_classification_probes():
     minimal secant degree equals k throughout."""
     started = time.perf_counter()
     details = [
-        check_k2_probe_shape(5, {}),
-        check_k3_trisecant(5, {}),
+        check_k2_probe_shape(5, geometry_probes),
+        check_k3_trisecant(5, geometry_probes),
         check_min_secant_equals_k(5),
     ]
     # the headline trisecant value g - 3 = 2, spelled out

@@ -338,6 +338,20 @@ def test_cliff_rejects_malformed_pool(tmp_path, capsys, pool):
     assert "error" in err
 
 
+@pytest.mark.parametrize("options", [["--max-degree", "99"], ["--max-degree", "1"],
+                                     ["--pool", "/nonexistent"], ["--pool", ""]])
+def test_cliff_closed_mode_refuses_search_options(tmp_path, capsys, options):
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps({"roots": ["1", "2", "3", "4", "5"]}))
+    cliff = ["cliff", "--curve", str(curve_file), "--eta", "w1,w2"]
+    code, out, err = run_cli(capsys, *cliff, "--mode", "closed", *options)
+    assert code == 2 and out == ""
+    assert "--mode search" in err
+    # the default pool, spelled out, stays accepted
+    code, out, _ = run_cli(capsys, *cliff, "--pool", "weierstrass")
+    assert code == 0 and json.loads(out)["mode"] == "closed_form"
+
+
 def _fuzz_replacement(rng, value):
     """A value of another JSON type, or the string cut short."""
     choices = [0.5, 2.0, True, False, None, 7, -1, "w9", "", [], {}, [value], {"x": value}, [[1, 2]]]

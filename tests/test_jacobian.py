@@ -11,6 +11,7 @@ from prymlab import (
     INFINITY,
     CurvePoint,
     Divisor,
+    HyperellipticCurve,
     MumfordClass,
     Poly,
     cantor_add,
@@ -116,6 +117,25 @@ def test_mumford_of_divisor_matches_point_by_point_oracle(curve, marked):
     for zero_class in (Divisor(), 3 * oo, Divisor.of_points((marked, marked.conjugate())) - 2 * oo,
                        sum((2 * Divisor.of_point(w) for w in affine_w), Divisor())):
         assert mumford_of_divisor(curve, zero_class) == cantor_identity()
+
+
+def test_mumford_of_divisor_joins_two_ordinary_fibres():
+    # y^2 = x(x+1)(x+4)(x+5)(x+6) has the rational points (-3, +-6) and
+    # (4, +-120): distinct multiplicities on P and conj(P) leave a nonzero
+    # net on both x-fibres, so every divisor composes two fibre pairs
+    curve = HyperellipticCurve([0, -1, -4, -5, -6])
+    fibres = [(curve.point(-3, 6), curve.point(-3, -6)), (curve.point(4, 120), curve.point(4, -120))]
+    affine_w = [w for w in curve.weierstrass_points if not w.is_infinity]
+    rng = random.Random("mumford-two-fibres")
+    for _ in range(300):
+        terms = [(w, rng.randint(-3, 3)) for w in rng.sample(affine_w, rng.randint(0, 3))]
+        for p, q in fibres:
+            a, b = rng.sample(range(-3, 4), 2)
+            terms += [(p, a), (q, b)]
+        d = Divisor(terms + [(INFINITY, rng.randint(-4, 4))])
+        m = mumford_of_divisor(curve, d)
+        validate_mumford(curve, m)
+        assert m == mumford_point_by_point_oracle(curve, d), str(d)
 
 
 def test_mumford_of_divisor_rejects_points_off_the_curve():

@@ -1,5 +1,7 @@
 """The verification harness itself: determinism and checks that `-O` keeps."""
 
+import functools
+import itertools
 import json
 import os
 import subprocess
@@ -83,7 +85,7 @@ def test_each_class_is_probed_once_per_run(monkeypatch):
 
 def test_iota_searches_no_class_beyond_the_search_claim(monkeypatch):
     # genus 5 samples three classes per k; iota searches the middle one,
-    # which search-matches-closed has already put in the run's table
+    # which search-matches-closed has already put in the run's cache
     calls = []
     real = prym.search_report
 
@@ -93,10 +95,10 @@ def test_iota_searches_no_class_beyond_the_search_claim(monkeypatch):
 
     monkeypatch.setattr(verify, "search_report", counted)
     monkeypatch.setattr(prym, "search_report", counted)
-    reports = {}
-    verify.check_search_matches_closed_form(5, reports)
+    search = functools.cache(counted)
+    verify.check_search_matches_closed_form(5, search)
     searched = len(calls)
-    verify.check_iota(5, reports)
+    verify.check_iota(5, search)
     assert len(calls) == searched
 
 
@@ -169,6 +171,12 @@ def test_eta_sampling_is_deterministic_and_spread():
     assert len(a) == 3
     assert len({e.subset for e in a}) == 3
     assert all(e.k == 3 for e in a)
+
+
+def test_unrank_pair_lists_the_pairs_of_combinations():
+    for n in range(2, 61):
+        pairs = list(itertools.combinations(range(n), 2))
+        assert [verify._unrank_pair(n, index) for index in range(len(pairs))] == pairs, n
 
 
 def test_group_closure_samples_pairs_in_bounded_memory():
