@@ -53,21 +53,31 @@ straight from the key, for the class member with coefficient 1 at each
 point of the mask, the key's ordinary terms, and oo taking the rest of the
 degree; no representative `Divisor` is built.  The columns are put in pole
 order at oo, x^i at 2i and x^i*y at 2i+2g+1, bounded by cap = 2 deg(den) +
-n_inf.  Lowering the degree by 2 lowers cap by 2 and changes no row (the
-denominator and the vanishing orders depend only on the affine part), so
-the condition matrix of D - j * 2oo is the column prefix of order at most
-cap - 2j, up to row scaling.  Its h0 is the prefix's column count minus
-the pivots inside it: `class_h0` reads j = 0, at any degree, and
-`pencil_h0s` every j.  For K + eta the rows evaluate x^0, x^1, ... at the
-mask's roots, so the leading |mask| x |mask| block is a nonsingular
-Vandermonde matrix and `linalg.pivot_columns` certifies the pivots
-0..|mask|-1 from it alone.
+n_inf.  Lowering the degree by j >= 0 lowers cap by j and changes no row
+(the denominator and the vanishing orders depend only on the affine part),
+so the condition matrix of D - j oo is the column prefix of order at most
+cap - j, up to row scaling.  Leftmost pivots are the column rank profile,
+so its h0 is the prefix's column count minus the pivots inside it
+(`_prefix_h0`).  `pencil_h0s` reads D - 2j oo for every j off one profile.
+A `class_h0` miss on a ramification-only key at degree 1 <= d < g-1 is
+eliminated once at degree g-1, the top of the search range, and fills the
+memo at every degree d..g-1 of that mask; every other miss is eliminated
+at its own degree.  A search asks for one mask at many degrees, so the
+fill turns later lookups into hits.  Keys with ordinary terms are left out
+because the divisors that carry them rarely repeat, and a wider matrix
+with Taylor and branch rows costs more than the hits it buys.  Degree 0 is
+left out because there h0(beta) certifies the pencil of
+`scroll.dj_sequence`, and it stays an elimination of beta's own narrow
+rows, independent of the pencil's.  For K + eta the rows evaluate x^0,
+x^1, ... at the mask's roots, so the leading |mask| x |mask| block is a
+nonsingular Vandermonde matrix and `linalg.pivot_columns` certifies the
+pivots 0..|mask|-1 from it alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -383,27 +393,39 @@ def _pole_profile(curve: HyperellipticCurve, key: ClassKey):
     return 2 * sum(m for _, m in den) + n_inf, orders, pivot_columns(rows, na + nb)
 
 
+def _prefix_h0(orders: Sequence[int], pivots: Sequence[int], cap: int) -> int:
+    """h0 of the column prefix of pole order at most `cap` of a pole profile:
+    its column count less the pivots among them (module docstring)."""
+    n = bisect_right(orders, cap)
+    return n - bisect_left(pivots, n)
+
+
 def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
-    """dim L(D) for the class with this key, from the per-curve memo; a miss
-    is the column count minus the pivots of its pole profile."""
+    """dim L(D) for the class with this key, from the per-curve memo.  A miss
+    on a ramification-only key at degree 1 <= d < g-1 reads the pole profile
+    of degree g-1 and fills the memo at every degree d..g-1 of the mask; any
+    other miss reads its own (module docstring)."""
     cache = curve._h0_cache
     dim = cache.get(key)
     if dim is None:
-        _, orders, pivots = _pole_profile(curve, key)
-        dim = cache[key] = len(orders) - len(pivots)
+        mask, ordinary, degree = key
+        top = curve.genus - 1 if not ordinary and 0 < degree < curve.genus - 1 else degree
+        cap, orders, pivots = _pole_profile(curve, (mask, ordinary, top))
+        for d in range(degree, top + 1):
+            cache[mask, ordinary, d] = _prefix_h0(orders, pivots, cap - (top - d))
+        dim = cache[key]
     return dim
 
 
 def pencil_h0s(curve: HyperellipticCurve, key: ClassKey) -> tuple[int, ...]:
     """dim L(D - j * 2oo) for the class D with this key, for j = 0, 1, ...
-    up to the first 0, or up to j = g-1 at the latest: the columns of D's
-    pole profile up to `top`, the last of pole order at most cap - 2j, less
-    the pivots among them (module docstring).  Reads and writes no memo."""
+    up to the first 0, or up to j = g-1 at the latest: the prefixes of D's
+    pole profile of pole order at most cap - 2j (module docstring).  Reads
+    and writes no memo."""
     cap, orders, pivots = _pole_profile(curve, key)
     values: list[int] = []
     while len(values) < curve.genus and (not values or values[-1] > 0):
-        top = bisect_right(orders, cap - 2 * len(values)) - 1
-        values.append(top + 1 - bisect_right(pivots, top))
+        values.append(_prefix_h0(orders, pivots, cap - 2 * len(values)))
     return tuple(values)
 
 

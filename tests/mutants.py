@@ -41,8 +41,8 @@ MUTANTS = (
     Mutant(
         "pencil-pivot-count",
         "riemann_roch.py",
-        "bisect_right(pivots, top))",
-        "bisect_right(pivots, top + 1))",
+        "bisect_left(pivots, n)",
+        "bisect_left(pivots, n + 1)",
         "killed: tests/test_riemann_roch.py::"
         "test_pencil_h0s_match_class_h0_with_ordinary_terms",
     ),
@@ -229,7 +229,9 @@ MUTANTS = (
         "riemann_roch.py",
         "cap = 2 * sum(m for _, m in den) + n_inf",
         "cap = 2 * sum(m for _, m in den) + n_inf + 1",
-        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[engine]"
+        " (every `h0` reads the prefix up to `_pole_profile`'s own cap, which drops the"
+        " extra column; the bases of `riemann_roch_space` keep it)",
     ),
     Mutant(
         "no-mod-2-fold",
@@ -274,5 +276,41 @@ MUTANTS = (
         "return _poly(out, self.denominator)",
         "killed: tests/test_jacobian.py::(collection) (its parameters build the shifted"
         " marked curve, and with f wrong its marked point fails `curve.contains`)",
+    ),
+    Mutant(
+        "fill-one-degree-short",
+        "riemann_roch.py",
+        "top = curve.genus - 1 if",
+        "top = curve.genus - 2 if",
+        "killed: tests/test_riemann_roch.py::"
+        "test_widened_misses_match_own_degree_profiles_on_a_genus5_search"
+        " (every value stays right; only the elimination count grows, which"
+        " test_a_cold_genus5_search_eliminates_once_per_affine_part also pins)",
+    ),
+    Mutant(
+        "fill-cap-steps-by-two",
+        "riemann_roch.py",
+        "cap - (top - d)",
+        "cap - 2 * (top - d)",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]",
+    ),
+    Mutant(
+        "fill-widens-degree-0",
+        "riemann_roch.py",
+        "and 0 < degree < curve.genus - 1",
+        "and 0 <= degree < curve.genus - 1",
+        "killed: tests/test_linalg.py::test_matches_oracle_on_genus_13_scroll_matrices"
+        " (beta's recorded 8 x 5 matrix widens; the [8, 5] pin of"
+        " tests/test_scroll.py::test_genus13_report_runs_two_eliminations_and_one_h0_call"
+        " fails too)",
+    ),
+    Mutant(
+        "fill-widens-ordinary-terms",
+        "riemann_roch.py",
+        "if not ordinary and 0 < degree",
+        "if 0 < degree",
+        "killed: tests/test_riemann_roch.py::"
+        "test_fill_on_the_shifted_marked_curve_matches_both_oracles[3]"
+        " (every value stays right; keys with ordinary terms are eliminated at g-1)",
     ),
 )

@@ -26,12 +26,13 @@ from prymlab import (
 )
 
 
-def shifted_marked_curve() -> tuple[HyperellipticCurve, CurvePoint]:
-    """curve_with_marked_point(3) under x -> x/4 + 1/3: roots with
-    denominators 6 and 12 and an ordinary point at x = 1/3, y = 9/64."""
-    c, marked = curve_with_marked_point(3)
+def shifted_marked_curve(genus: int = 3) -> tuple[HyperellipticCurve, CurvePoint]:
+    """curve_with_marked_point(genus) under x -> x/4 + 1/3: roots with
+    denominators dividing 12 and an ordinary point at x = 1/3 (y = 9/64 at
+    genus 3)."""
+    c, marked = curve_with_marked_point(genus)
     curve = HyperellipticCurve([r / 4 + Fraction(1, 3) for r in c.roots])
-    point = CurvePoint.affine(Fraction(1, 3), marked.y / 2**7)
+    point = CurvePoint.affine(Fraction(1, 3), marked.y / 2 ** (2 * genus + 1))
     assert curve.contains(point)
     return curve, point
 

@@ -490,6 +490,86 @@ def test_pencil_h0s_stop_after_g_values_when_h0_never_reaches_zero(monkeypatch):
     assert pencil_h0s(c, key) == (8, 6, 5, 4, 3)
 
 
+def _assert_memo_matches_own_degree_profiles(curve):
+    # the oracle for the widened fill is the elimination it replaces: the
+    # pole profile of each key at the key's own degree
+    for key, dim in curve._h0_cache.items():
+        _, orders, pivots = riemann_roch._pole_profile(curve, key)
+        assert dim == len(orders) - len(pivots), key
+
+
+def _recording_profiles(monkeypatch):
+    profiled = []
+    real = riemann_roch._pole_profile
+
+    def recording(curve, key):
+        profiled.append(key)
+        return real(curve, key)
+
+    monkeypatch.setattr(riemann_roch, "_pole_profile", recording)
+    return profiled
+
+
+def test_widened_misses_match_own_degree_profiles_on_a_genus5_search(monkeypatch):
+    c = HyperellipticCurve(standard_curve(5).roots)  # a fresh, empty memo
+    profiled = _recording_profiles(monkeypatch)
+    search_report(c, two_torsion_from_subset(c, range(1, 7)), include_probes=True)
+    # degrees 1..3 are eliminated at 4 = g-1; 5 is the trisecant probe's K - D
+    assert {d for _, _, d in profiled} == {4, 5}
+    monkeypatch.undo()
+    _assert_memo_matches_own_degree_profiles(c)
+
+
+@pytest.mark.parametrize("genus", [3, 5])
+def test_fill_on_the_shifted_marked_curve_matches_both_oracles(monkeypatch, genus):
+    # roots with denominators > 1 scale the widened Taylor rows by powers of
+    # q; keys with ordinary terms at x0 = 1/3 (branch rows scaled by 1/q^s)
+    # are eliminated at their own degree.  Every memo entry is checked
+    # against its own-degree profile and against the independent Fraction
+    # oracle on the class member its key names
+    shifted, marked = shifted_marked_curve(genus)
+    curve = HyperellipticCurve(shifted.roots)  # a fresh, empty memo
+    g = curve.genus
+    affine = curve.weierstrass_points[:-1]
+    rng = random.Random(f"widened-fill:{genus}")
+    profiled = _recording_profiles(monkeypatch)
+    asked = []
+    for i in range(60):
+        terms = [(w, 1) for w in rng.sample(affine, rng.randint(0, g))]
+        if i % 2:
+            terms += [(marked, rng.randint(-2, 2)), (marked.conjugate(), rng.randint(-2, 2))]
+        terms.append((INFINITY, rng.randint(-1, 2 * g - 1) - sum(n for _, n in terms)))
+        asked.append(class_key(curve, Divisor(terms)))
+        class_h0(curve, asked[-1])
+    assert [k for k in profiled if k[1]] == [k for k in dict.fromkeys(asked) if k[1]]
+    assert any(not o and 0 < d < g - 1 for _, o, d in asked)
+    assert len(curve._h0_cache) > len(profiled)
+    monkeypatch.undo()
+    _assert_memo_matches_own_degree_profiles(curve)
+    w = curve.weierstrass_points
+    for (mask, ordinary, degree), dim in curve._h0_cache.items():
+        support = [(w[i], 1) for i in range(2 * g + 1) if mask >> i & 1] + list(ordinary)
+        member = Divisor(support + [(INFINITY, degree - sum(n for _, n in support))])
+        assert dim == _oracle_space(curve, member)[0], str(member)
+
+
+def test_a_cold_genus5_search_eliminates_once_per_affine_part(monkeypatch):
+    # maximal k, full pool: one elimination per (mask, ordinary) part, at
+    # degree g-1, and the same 1,406 memo entries as one elimination per key
+    c = HyperellipticCurve(standard_curve(5).roots)  # a fresh, empty memo
+    calls = []
+    real = riemann_roch.pivot_columns
+
+    def counting(matrix, cols):
+        calls.append(cols)
+        return real(matrix, cols)
+
+    monkeypatch.setattr(riemann_roch, "pivot_columns", counting)
+    search_report(c, two_torsion_from_subset(c, range(1, 7)))
+    assert len(calls) == len({(mask, ordinary) for mask, ordinary, _ in c._h0_cache}) == 824
+    assert len(c._h0_cache) == 1406
+
+
 def _negative_degree_cases():
     # w1 + w2 + w3 - 4 oo at genus 3: cap = 2, 3 rows, 2 a-columns
     yield pytest.param(HyperellipticCurve(standard_curve(3).roots), (0b111, (), -1), (3, 2), id="mask")
