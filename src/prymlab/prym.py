@@ -21,8 +21,9 @@ witnesses.  Its genus, k and `iota_cliff` are read from eta and the index:
 `iota_cliff` is the invariant index of the associated unramified double
 cover, 2*min(index, gonality-1), with gonality 2 in this hyperelliptic
 scope.  Also here: secant-variety membership tests and the base-point /
-point-separation / trisecant probes.  Every entry point refuses a class of
-another curve.
+point-separation / trisecant probes, which read the degree-1, -2 and -3
+twisted h0 keys of a full-pool search (the trisecant test through
+Riemann-Roch).  Every entry point refuses a class of another curve.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 from .curves import CurvePoint, Divisor, HyperellipticCurve
 from .jacobian import TwoTorsionClass
-from .riemann_roch import ClassKey, class_h0, h0, point_classes, residual_key, twisted_key
+from .riemann_roch import ClassKey, class_h0, h0, point_classes, twisted_key
 
 GONALITY = 2  # every curve in this package is hyperelliptic
 
@@ -286,10 +287,11 @@ def geometry_probes(curve: HyperellipticCurve, eta: TwoTorsionClass) -> Geometry
     base points: w with twisted h0(w) >= 1 (exactly eta's two subset points
     when k = 1, empty otherwise); unseparated pairs: (p, q) with twisted
     h0(p + q) >= 1 (nonempty iff k <= 2); trisecant witnesses: degree-3
-    divisors D with h0(canonical + eta - D) = g - 3 (nonempty at k = 3).
+    divisors D with h0(canonical + eta - D) = g - 3 (nonempty at k = 3), read
+    as twisted h0(D) = 1: by Riemann-Roch on D + eta, of degree 3, and
+    K - eta ~ K + eta (2 eta ~ 0), h0(K + eta - D) = h0(D + eta) + g - 4.
     """
     check_eta(curve, eta)
-    g = curve.genus
     pool = curve.weierstrass_points
     eta_mask = eta.mask
 
@@ -301,6 +303,6 @@ def geometry_probes(curve: HyperellipticCurve, eta: TwoTorsionClass) -> Geometry
     trisecants = tuple(
         Divisor.of_points(combo)
         for combo, cls in point_classes(curve, pool, 3)
-        if twisted_h0(residual_key(curve, cls)) == g - 3
+        if twisted_h0(cls) == 1
     )
     return GeometryProbes(base_points, unseparated, trisecants)

@@ -360,12 +360,6 @@ def twisted_key(curve: HyperellipticCurve, key: ClassKey, mask: int) -> ClassKey
     return _fold(curve, key[0] ^ mask), key[1], key[2]
 
 
-def residual_key(curve: HyperellipticCurve, key: ClassKey) -> ClassKey:
-    """The key of K - D, K = (2g-2) oo: odd parts keep their parity."""
-    mask, ordinary, degree = key
-    return mask, tuple((p, -n) for p, n in ordinary), 2 * curve.genus - 2 - degree
-
-
 def _class_member(curve: HyperellipticCurve, key: ClassKey):
     """(ramification, ordinary, n_inf) of the class member that the condition
     rows are built for: coefficient 1 at each point of the mask, the key's
@@ -397,7 +391,10 @@ def _prefix_h0(orders: Sequence[int], pivots: Sequence[int], cap: int) -> int:
     """h0 of the column prefix of pole order at most `cap` of a pole profile:
     its column count less the pivots among them (module docstring)."""
     n = bisect_right(orders, cap)
-    return n - bisect_left(pivots, n)
+    dim = n - bisect_left(pivots, n)
+    if dim < 0:
+        raise ArithmeticError(f"h0 {dim} of a pole profile prefix: engine bug")
+    return dim
 
 
 def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
@@ -411,9 +408,8 @@ def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
         mask, ordinary, degree = key
         top = curve.genus - 1 if not ordinary and 0 < degree < curve.genus - 1 else degree
         cap, orders, pivots = _pole_profile(curve, (mask, ordinary, top))
-        for d in range(degree, top + 1):
-            cache[mask, ordinary, d] = _prefix_h0(orders, pivots, cap - (top - d))
-        dim = cache[key]
+        for d in range(top, degree - 1, -1):
+            dim = cache[mask, ordinary, d] = _prefix_h0(orders, pivots, cap - (top - d))
     return dim
 
 

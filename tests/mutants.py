@@ -43,8 +43,9 @@ MUTANTS = (
         "riemann_roch.py",
         "bisect_left(pivots, n)",
         "bisect_left(pivots, n + 1)",
-        "killed: tests/test_riemann_roch.py::"
-        "test_pencil_h0s_match_class_h0_with_ordinary_terms",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]"
+        " (a fill whose prefix and next column are all pivots reads -1, which"
+        " `_prefix_h0` refuses)",
     ),
     Mutant(
         "bareiss-zero-entry-unscaled",
@@ -312,5 +313,49 @@ MUTANTS = (
         "killed: tests/test_riemann_roch.py::"
         "test_fill_on_the_shifted_marked_curve_matches_both_oracles[3]"
         " (every value stays right; keys with ordinary terms are eliminated at g-1)",
+    ),
+    Mutant(
+        "poly-difference-adds",
+        "polynomials.py",
+        "sign * (den // db)",
+        "den // db",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[engine]",
+    ),
+    Mutant(
+        "pseudo-division-step-adds",
+        "polynomials.py",
+        "[r - q * d for r, d in zip(rem[base:i], low)]",
+        "[r + q * d for r, d in zip(rem[base:i], low)]",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[engine]",
+    ),
+    Mutant(
+        "taylor-denominator-power-high",
+        "polynomials.py",
+        "den * q ** (n - 1 - l)",
+        "den * q ** (n - l)",
+        "killed: tests/test_cli.py::test_cli_output_matches_golden_digest[h0-shifted-2P+2P'-4oo]"
+        " (only an x0 with denominator q > 1 is scaled wrong)",
+    ),
+    Mutant(
+        "trisecant-at-least-one",
+        "prym.py",
+        "if twisted_h0(cls) == 1",
+        "if twisted_h0(cls) >= 1",
+        "killed: tests/test_cli.py::test_cli_output_matches_golden_digest[cliff-search-g3-w1,w2]"
+        " (tests/test_prym.py::test_trisecant_witnesses_match_the_residual_oracle kills it too)",
+    ),
+    Mutant(
+        "fill-stops-above-asked-degree",
+        "riemann_roch.py",
+        "range(top, degree - 1, -1)",
+        "range(top, degree, -1)",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]",
+    ),
+    Mutant(
+        "negative-h0-passes",
+        "riemann_roch.py",
+        "if dim < 0:",
+        "if dim < -1:",
+        "killed: tests/test_riemann_roch.py::test_a_profile_with_more_pivots_than_columns_is_refused",
     ),
 )

@@ -28,6 +28,7 @@ from prymlab import (
 )
 from prymlab import prym
 from prymlab.riemann_roch import class_key
+from prymlab.verify import sample_etas
 
 
 def _eta(curve, *labels):
@@ -340,6 +341,29 @@ def test_probes_k3_trisecant():
     assert probe.unseparated_pairs == ()
     # the witness drops exactly one condition: h0(K + eta - D) = g - 3
     assert h0(c, eta.twist(c.canonical_divisor() - witness)) == c.genus - 3
+
+
+def _trisecant_oracle_cases():
+    c4 = standard_curve(4)
+    yield pytest.param(c4, enumerate_two_torsion(c4), id="genus4-every-class")
+    for genus in (5, 6):
+        c = standard_curve(genus)
+        yield pytest.param(c, sample_etas(c), id=f"genus{genus}-sampled")
+
+
+@pytest.mark.parametrize("curve, etas", list(_trisecant_oracle_cases()))
+def test_trisecant_witnesses_match_the_residual_oracle(curve, etas):
+    # the witnesses are read as twisted h0(D) = 1; the oracle is the
+    # definition h0(K + eta - D) = g - 3, asked on a separate fresh curve so
+    # that no memo entry is shared
+    g = curve.genus
+    oracle = HyperellipticCurve(curve.roots)
+    canonical = oracle.canonical_divisor()
+    triples = [Divisor.of_points(c) for c in itertools.combinations_with_replacement(curve.weierstrass_points, 3)]
+    for eta in etas:
+        twisted_canonical = eta.twist(canonical)
+        expected = tuple(d for d in triples if h0(oracle, twisted_canonical - d) == g - 3)
+        assert geometry_probes(curve, eta).trisecant_witnesses == expected, str(eta)
 
 
 def test_search_values_bounded():

@@ -17,6 +17,7 @@ from prymlab import (
     curve_with_marked_point,
     curves,
     enumerate_two_torsion,
+    geometry_probes,
     h0,
     is_linearly_equivalent,
     mumford_of_divisor,
@@ -29,7 +30,7 @@ from prymlab import (
     two_torsion_from_subset,
     valuation,
 )
-from prymlab.riemann_roch import class_h0, class_key, pencil_h0s, residual_key, twisted_key
+from prymlab.riemann_roch import class_h0, class_key, pencil_h0s, twisted_key
 from prymlab.serialize import point_from_dict
 from support import (
     gauss_jordan_oracle,
@@ -417,16 +418,14 @@ def test_class_key_is_shared_by_equivalent_divisors():
 
 
 @pytest.mark.parametrize("genus", [3, 4])
-def test_twisted_and_residual_keys_match_divisor_keys(genus):
+def test_twisted_key_matches_divisor_keys(genus):
     c, marked = curve_with_marked_point(genus)
-    canonical = c.canonical_divisor()
     etas = enumerate_two_torsion(c)
     divisors = _class_key_divisors(random.Random(f"derived-keys:{genus}"), c, marked, 12)
     for i, d in enumerate(divisors):
         eta = etas[(7 * i) % len(etas)]
         key = class_key(c, d)
         assert twisted_key(c, key, eta.mask) == class_key(c, eta.twist(d))
-        assert residual_key(c, key) == class_key(c, canonical - d)
 
 
 def test_warm_class_key_still_rejects_off_curve_ramification_point():
@@ -490,6 +489,18 @@ def test_pencil_h0s_stop_after_g_values_when_h0_never_reaches_zero(monkeypatch):
     assert pencil_h0s(c, key) == (8, 6, 5, 4, 3)
 
 
+def test_a_profile_with_more_pivots_than_columns_is_refused(monkeypatch):
+    # four pivots among three columns of pole order 0, 2, 4: the prefix
+    # count reads -1, which no reader of an h0 may be handed
+    monkeypatch.setattr(riemann_roch, "_pole_profile", lambda curve, key: (4, [0, 2, 4], [0, 1, 2, 2]))
+    c = HyperellipticCurve(standard_curve(3).roots)  # a fresh, empty memo
+    with pytest.raises(ArithmeticError, match="h0 -1 .*engine bug"):
+        class_h0(c, (0b11, (), 2))
+    assert not c._h0_cache
+    with pytest.raises(ArithmeticError, match="h0 -1 .*engine bug"):
+        pencil_h0s(c, twisted_key(c, (0, (), 4), 0b11))
+
+
 def _assert_memo_matches_own_degree_profiles(curve):
     # the oracle for the widened fill is the elimination it replaces: the
     # pole profile of each key at the key's own degree
@@ -514,8 +525,8 @@ def test_widened_misses_match_own_degree_profiles_on_a_genus5_search(monkeypatch
     c = HyperellipticCurve(standard_curve(5).roots)  # a fresh, empty memo
     profiled = _recording_profiles(monkeypatch)
     search_report(c, two_torsion_from_subset(c, range(1, 7)), include_probes=True)
-    # degrees 1..3 are eliminated at 4 = g-1; 5 is the trisecant probe's K - D
-    assert {d for _, _, d in profiled} == {4, 5}
+    # degrees 1..3 are eliminated at 4 = g-1, and the probes ask degrees 1..3
+    assert {d for _, _, d in profiled} == {4}
     monkeypatch.undo()
     _assert_memo_matches_own_degree_profiles(c)
 
@@ -553,10 +564,7 @@ def test_fill_on_the_shifted_marked_curve_matches_both_oracles(monkeypatch, genu
         assert dim == _oracle_space(curve, member)[0], str(member)
 
 
-def test_a_cold_genus5_search_eliminates_once_per_affine_part(monkeypatch):
-    # maximal k, full pool: one elimination per (mask, ordinary) part, at
-    # degree g-1, and the same 1,406 memo entries as one elimination per key
-    c = HyperellipticCurve(standard_curve(5).roots)  # a fresh, empty memo
+def _counting_eliminations(monkeypatch):
     calls = []
     real = riemann_roch.pivot_columns
 
@@ -565,9 +573,31 @@ def test_a_cold_genus5_search_eliminates_once_per_affine_part(monkeypatch):
         return real(matrix, cols)
 
     monkeypatch.setattr(riemann_roch, "pivot_columns", counting)
-    search_report(c, two_torsion_from_subset(c, range(1, 7)))
+    return calls
+
+
+def test_a_cold_genus5_search_eliminates_once_per_affine_part(monkeypatch):
+    # maximal k, full pool, with probes: one elimination per (mask, ordinary)
+    # part, at degree g-1, and the same 1,406 memo entries as one elimination
+    # per key; the probes ask twisted h0 at degrees 1..3, which the search filled
+    c = HyperellipticCurve(standard_curve(5).roots)  # a fresh, empty memo
+    calls = _counting_eliminations(monkeypatch)
+    search_report(c, two_torsion_from_subset(c, range(1, 7)), include_probes=True)
     assert len(calls) == len({(mask, ordinary) for mask, ordinary, _ in c._h0_cache}) == 824
     assert len(c._h0_cache) == 1406
+
+
+@pytest.mark.parametrize("genus", [4, 5, 6])
+def test_probes_after_a_search_eliminate_nothing(monkeypatch, genus):
+    c = HyperellipticCurve(standard_curve(genus).roots)  # a fresh, empty memo
+    for k in range(1, (genus + 1) // 2 + 1):
+        eta = two_torsion_from_subset(c, range(1, 2 * k + 1))
+        search_report(c, eta)
+        entries = len(c._h0_cache)
+        calls = _counting_eliminations(monkeypatch)
+        geometry_probes(c, eta)
+        monkeypatch.undo()
+        assert (len(calls), len(c._h0_cache)) == (0, entries), str(eta)
 
 
 def _negative_degree_cases():
