@@ -61,9 +61,19 @@ from .scroll import (
     scroll_report,
 )
 from .series import BranchUndefinedError, series_sqrt_branch
-from .verify import VerificationCheck, VerificationSuite, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The exports of `verify`, imported on first use (PEP 562), so that
+    `import prymlab` does not load the verification suite."""
+    if name in ("VerificationCheck", "VerificationSuite", "run_suite"):
+        from .verify import VerificationCheck, VerificationSuite, run_suite
+
+        return locals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "INFINITY",

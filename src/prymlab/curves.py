@@ -217,6 +217,7 @@ class HyperellipticCurve:
         self._weierstrass = tuple([CurvePoint.affine(r, 0) for r in rs] + [INFINITY])
         self._label_of_point = {p: i + 1 for i, p in enumerate(self._weierstrass)}
         self._h0_cache: dict[tuple, int] = {}
+        self._chain_cache: dict[int, tuple[list[int], ...]] = {}  # mask -> Bareiss pivot rows (riemann_roch)
         self._branch_cache: dict[CurvePoint, tuple[Fraction, ...]] = {}  # keyed by the point with y > 0
         self._taylor_cache: dict[int | CurvePoint, list[list[int]]] = {}
         self._on_curve: dict[CurvePoint, bool] = {}

@@ -11,6 +11,11 @@ Pivoting is by leftmost column with the first nonzero row.  The reduced
 echelon form is unique, so the bases do not depend on the pivoting and
 identical inputs always give identical bases.
 
+`reduce_row` is the one row update of the elimination: `_eliminate` applies
+it to every row below (and, reducing, above) each pivot, and the
+Riemann-Roch mask chains apply it to one new row at a time, which is exact
+because without row swaps pivot row k depends only on rows 0..k.
+
 `pivot_columns` is the one forward elimination.  Leftmost pivots are the
 column rank profile, whichever rows are chosen, so the pivots inside a
 column prefix count that prefix's rank.  A nonsingular leading w x w block,
@@ -68,20 +73,31 @@ def _eliminate(rows: list[Sequence[int]], cols: int, reduce: bool) -> tuple[list
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         prow = rows[r]
-        piv = prow[col]
         # rows below are zero left of col; rows above keep free columns there
         for i in range(n) if reduce else range(r + 1, n):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[col]
-            if f:
-                rows[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
-            elif piv != prev:
-                rows[i] = [piv * a // prev for a in row]
+            if i != r:
+                rows[i] = reduce_row(rows[i], prow, col, prev)
         pivots.append(col)
-        prev = piv
+        prev = prow[col]
     return pivots, prev
+
+
+def reduce_row(row: Sequence[int], prow: Sequence[int], col: int, prev: int) -> Sequence[int]:
+    """One Bareiss row update: `row` cleared in column `col` by the pivot row
+    `prow`, whose pivot prow[col] is nonzero, with the exact division by the
+    previous pivot `prev` (1 before the first).  Returns a new row, or `row`
+    itself when it is unchanged; `row` is never changed in place.
+
+    Without row swaps, pivot k of a forward elimination is the k-th leading
+    minor and pivot row k depends only on rows 0..k: a row reduced by the
+    pivot rows 0..k-1 in turn, each with the pivot before it, is pivot row k
+    of every matrix that leads with those rows."""
+    piv, f = prow[col], row[col]
+    if f:
+        return [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+    if piv != prev:
+        return [piv * a // prev for a in row]
+    return row
 
 
 def kernel_basis(matrix: Matrix, cols: int) -> list[list[Fraction]]:

@@ -48,10 +48,10 @@ those three parts, checking each point on the curve once: `class_key` reads
 the mask off it, `riemann_roch_space` hands it to the one condition-matrix
 builder, and `jacobian.mumford_of_divisor` reads its Mumford pair off it.
 
-Every h0 is read off one pole-ordered elimination of condition rows built
-straight from the key, for the class member with coefficient 1 at each
-point of the mask, the key's ordinary terms, and oo taking the rest of the
-degree; no representative `Divisor` is built.  The columns are put in pole
+Every h0 is read off one pole profile of the condition rows built straight
+from the key, for the class member with coefficient 1 at each point of the
+mask, the key's ordinary terms, and oo taking the rest of the degree; no
+representative `Divisor` is built.  The columns are put in pole
 order at oo, x^i at 2i and x^i*y at 2i+2g+1, bounded by cap = 2 deg(den) +
 n_inf.  Lowering the degree by j >= 0 lowers cap by j and changes no row
 (the denominator and the vanishing orders depend only on the affine part),
@@ -60,18 +60,36 @@ cap - j, up to row scaling.  Leftmost pivots are the column rank profile,
 so its h0 is the prefix's column count minus the pivots inside it
 (`_prefix_h0`).  `pencil_h0s` reads D - 2j oo for every j off one profile.
 A `class_h0` miss on a ramification-only key at degree 1 <= d < g-1 is
-eliminated once at degree g-1, the top of the search range, and fills the
-memo at every degree d..g-1 of that mask; every other miss is eliminated
+profiled once at degree g-1, the top of the search range, and fills the
+memo at every degree d..g-1 of that mask; every other miss is profiled
 at its own degree.  A search asks for one mask at many degrees, so the
 fill turns later lookups into hits.  Keys with ordinary terms are left out
 because the divisors that carry them rarely repeat, and a wider matrix
 with Taylor and branch rows costs more than the hits it buys.  Degree 0 is
 left out because there h0(beta) certifies the pencil of
 `scroll.dj_sequence`, and it stays an elimination of beta's own narrow
-rows, independent of the pencil's.  For K + eta the rows evaluate x^0,
-x^1, ... at the mask's roots, so the leading |mask| x |mask| block is a
-nonsingular Vandermonde matrix and `linalg.pivot_columns` certifies the
-pivots 0..|mask|-1 from it alone.
+rows, independent of the pencil's.
+
+A ramification-only key of degree >= 1 needs no matrix: the chain of its
+mask, which has at most g bits once folded, certifies the profile.  The
+key's r rows evaluate x^0, x^1, ... at the mask's roots, each times a power
+of q, and in pole order its first w = min(r, columns) <= g columns are
+x^0..x^(w-1), so the pivots are 0..w-1 when the leading minors of the
+Vandermonde rows are nonzero, which distinct roots guarantee.
+Fraction-free elimination without row swaps (`linalg.reduce_row`) has the
+k-th leading minor as its pivot k, and pivot row k depends only on rows
+0..k.  So the chain of a mask, the pivot rows of the width-g rows
+p^j q^(g-1-j) of its roots p/q in label order, each kept from its pivot
+column on, is the chain of its prefix, the mask without its top bit, plus
+one row reduced by it: O(r g) for a new mask instead of an r x r
+elimination.  The per-curve chain store maps a mask to its chain through
+`curves.memo_put`, so it holds at most `POINT_MEMO_CAP` masks and is
+cleared when full; a chain whose prefix is missing builds the prefix
+again.  A chain whose last pivot vanishes is not stored, and its key falls
+back to the matrix.  Keys with ordinary terms and keys of degree <= 0 are
+always eliminated as matrices: degree 0 is beta's certificate for the
+pencil (above), whose own profile comes off the chain when it is
+ramification-only.
 """
 
 from __future__ import annotations
@@ -84,7 +102,7 @@ from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .curves import CurvePoint, Divisor, HyperellipticCurve, memo_put
-from .linalg import kernel_basis, pivot_columns
+from .linalg import kernel_basis, pivot_columns, reduce_row
 from .polynomials import ONE, Poly, poly_gcd
 from .series import curve_branch
 
@@ -229,6 +247,12 @@ def _taylor_table(
     return table
 
 
+def _monomial_counts(curve: HyperellipticCurve, cap: int) -> tuple[int, int]:
+    """The numbers of a-monomials x^i (pole order 2i at oo) and b-monomials
+    x^i*y (pole order 2i+2g+1) of pole order at most cap."""
+    return max(0, cap // 2 + 1), max(0, (cap - (2 * curve.genus + 1)) // 2 + 1)
+
+
 def _space_matrix(
     curve: HyperellipticCurve,
     ramification: Sequence[tuple[int, int]],
@@ -257,8 +281,7 @@ def _space_matrix(
         ordinary_den[p.x] = ordinary_den.get(p.x, 0) + max(n, 0)
     den.extend((x0, m) for x0, m in ordinary_den.items() if m)
     cap = 2 * sum(m for _, m in den) + n_inf
-    na = max(0, cap // 2 + 1)
-    nb = max(0, (cap - (2 * curve.genus + 1)) // 2 + 1)
+    na, nb = _monomial_counts(curve, cap)
     if na + nb == 0:
         return den, na, nb, []
 
@@ -372,19 +395,69 @@ def _class_member(curve: HyperellipticCurve, key: ClassKey):
     return ramification, ordinary, degree - len(ramification) - sum(n for _, n in ordinary)
 
 
-def _pole_profile(curve: HyperellipticCurve, key: ClassKey):
+def _pole_orders(curve: HyperellipticCurve, na: int, nb: int):
+    """The pole orders of the na a- and nb b-columns in increasing order, and
+    the permutation that puts the [a | b] columns in that order; None when
+    there are no b-columns, as [a | b] is then already in pole order."""
+    orders = range(0, 2 * na, 2)
+    if not nb:
+        return orders, None
+    orders = list(orders) + [2 * j + 2 * curve.genus + 1 for j in range(nb)]
+    perm = sorted(range(na + nb), key=orders.__getitem__)
+    return [orders[c] for c in perm], perm
+
+
+def _matrix_profile(curve: HyperellipticCurve, key: ClassKey):
     """(cap, column pole orders, pivot columns) of the key's condition
-    matrix, from one `pivot_columns` call on its columns in pole order; an
-    [a | b] matrix without b-columns is already in pole order."""
+    matrix, from one `pivot_columns` call on its columns in pole order."""
     ramification, ordinary, n_inf = _class_member(curve, key)
     den, na, nb, rows = _space_matrix(curve, ramification, ordinary, n_inf)
-    orders = range(0, 2 * na, 2)
-    if nb:
-        orders = list(orders) + [2 * j + 2 * curve.genus + 1 for j in range(nb)]
-        perm = sorted(range(na + nb), key=orders.__getitem__)
-        orders = [orders[c] for c in perm]
+    orders, perm = _pole_orders(curve, na, nb)
+    if perm is not None:
         rows = [[row[c] for c in perm] for row in rows]
     return 2 * sum(m for _, m in den) + n_inf, orders, pivot_columns(rows, na + nb)
+
+
+def _mask_chain(curve: HyperellipticCurve, mask: int) -> tuple[list[int], ...] | None:
+    """The Bareiss pivot rows of the width-g rows p^j q^(g-1-j) of the mask's
+    roots p/q in label order, pivot row k from column k on (it is zero
+    before), or None when a leading minor of theirs vanishes.  A chain
+    missing from the store is its prefix's, the mask without its top bit,
+    plus the top root's row reduced by those rows, a column shorter after
+    each; it enters the store only when its last pivot is nonzero (module
+    docstring)."""
+    if not mask:
+        return ()
+    rows = curve._chain_cache.get(mask)
+    if rows is None:
+        top = mask.bit_length() - 1
+        prefix = _mask_chain(curve, mask ^ 1 << top)
+        if prefix is None:
+            return None
+        g, x0 = curve.genus, curve.roots[top]
+        p, q = x0.numerator, x0.denominator
+        row, prev = [p**j * q ** (g - 1 - j) for j in range(g)], 1
+        for prow in prefix:
+            row, prev = reduce_row(row, prow, 0, prev)[1:], prow[0]
+        if not row[0]:
+            return None
+        rows = (*prefix, row)
+        memo_put(curve._chain_cache, mask, rows)
+    return rows
+
+
+def _pole_profile(curve: HyperellipticCurve, key: ClassKey):
+    """(cap, column pole orders, pivot columns) of the key's condition
+    matrix in pole order.  A ramification-only key of degree >= 1, its mask
+    of at most g bits as every folded mask is, whose mask chain certifies
+    its leading minors has the pivots 0..w-1 and needs no matrix; any other
+    key is eliminated by `_matrix_profile`."""
+    mask, ordinary, degree = key
+    r = mask.bit_count()
+    if ordinary or degree < 1 or r > curve.genus or _mask_chain(curve, mask) is None:
+        return _matrix_profile(curve, key)
+    na, nb = _monomial_counts(curve, r + degree)
+    return r + degree, _pole_orders(curve, na, nb)[0], list(range(min(r, na + nb)))
 
 
 def _prefix_h0(orders: Sequence[int], pivots: Sequence[int], cap: int) -> int:

@@ -50,8 +50,8 @@ MUTANTS = (
     Mutant(
         "bareiss-zero-entry-unscaled",
         "linalg.py",
-        "rows[i] = [piv * a // prev for a in row]",
-        "rows[i] = row",
+        "return [piv * a // prev for a in row]",
+        "return row",
         "killed: perfbench/test_perfbench.py::test_timed_run_prints_every_end_to_end_metric",
     ),
     Mutant(
@@ -80,7 +80,8 @@ MUTANTS = (
         "curves.py",
         "memo.clear()",
         "pass",
-        "killed: tests/test_riemann_roch.py::test_point_memos_stay_under_the_cap",
+        "killed: tests/test_riemann_roch.py::test_chains_survive_a_store_cleared_mid_build"
+        " (tests/test_riemann_roch.py::test_point_memos_stay_under_the_cap kills it too)",
     ),
     Mutant(
         "valuation-short-norm-bound",
@@ -357,5 +358,57 @@ MUTANTS = (
         "if dim < 0:",
         "if dim < -1:",
         "killed: tests/test_riemann_roch.py::test_a_profile_with_more_pivots_than_columns_is_refused",
+    ),
+    Mutant(
+        "reduce-row-divides-by-new-pivot",
+        "linalg.py",
+        "return [(piv * a - f * b) // prev for a, b in zip(row, prow)]",
+        "return [(piv * a - f * b) // piv for a, b in zip(row, prow)]",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[engine]"
+        " (tests/test_linalg.py::test_reduce_row_steps_give_the_leading_minors kills it too)",
+    ),
+    Mutant(
+        "chain-prefix-drops-low-bit",
+        "riemann_roch.py",
+        "prefix = _mask_chain(curve, mask ^ 1 << top)",
+        "prefix = _mask_chain(curve, mask & mask - 1)",
+        "killed: tests/test_linalg.py::test_matches_oracle_on_genus_13_scroll_matrices"
+        " (every value stays right: the top root's row is reduced against itself, so every"
+        " chain of two or more bits falls back to its matrix, which"
+        " tests/test_riemann_roch.py::test_mask_chains_give_the_matrix_profiles also refuses)",
+    ),
+    Mutant(
+        "chain-zero-minor-certified",
+        "riemann_roch.py",
+        "if not row[0]:",
+        "if False:",
+        "killed: tests/test_riemann_roch.py::test_a_vanishing_leading_minor_falls_back_to_the_matrix"
+        " (distinct roots never give a zero minor, so only the planted one shows it)",
+    ),
+    Mutant(
+        "chain-takes-degree-zero",
+        "riemann_roch.py",
+        "degree < 1 or",
+        "degree < 0 or",
+        "killed: tests/test_linalg.py::test_matches_oracle_on_genus_13_scroll_matrices"
+        " (beta's 8 x 5 matrix is no longer eliminated; the [5] pin of"
+        " tests/test_scroll.py::test_genus13_report_runs_two_eliminations_and_one_h0_call"
+        " fails too)",
+    ),
+    Mutant(
+        "chain-store-unbounded",
+        "riemann_roch.py",
+        "memo_put(curve._chain_cache, mask, rows)",
+        "curve._chain_cache[mask] = rows",
+        "killed: tests/test_riemann_roch.py::test_chains_survive_a_store_cleared_mid_build",
+    ),
+    Mutant(
+        "chain-row-untrimmed",
+        "riemann_roch.py",
+        "reduce_row(row, prow, 0, prev)[1:]",
+        "reduce_row(row, prow, 0, prev)",
+        "killed: tests/test_linalg.py::test_matches_oracle_on_genus_13_scroll_matrices"
+        " (every value stays right: each reduced row keeps its zero column, so every chain"
+        " of two or more bits reads a zero pivot and falls back to its matrix)",
     ),
 )

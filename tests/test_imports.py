@@ -2,6 +2,9 @@
 package root exports everything it imports.  Standard library `ast` only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +77,18 @@ def test_package_root_exports_what_it_imports():
     )
     missing = sorted(set(_imported_names(tree)) - set(exported))
     assert not missing, f"__init__ imports names missing from __all__: {missing}"
+
+
+def test_import_prymlab_leaves_the_verification_suite_unloaded():
+    # the package root serves verify's exports on first access (PEP 562),
+    # so a process that only computes never compiles verify
+    code = (
+        "import prymlab, sys; print('prymlab.verify' in sys.modules); "
+        "print(prymlab.run_suite.__module__, 'prymlab.verify' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "prymlab.verify", "True"]
 
 
 def _package_imports(tree: ast.Module) -> list[tuple[str, str, int]]:

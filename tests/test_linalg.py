@@ -15,6 +15,7 @@ from prymlab import (
     two_torsion_from_subset,
 )
 from prymlab.prym import search_report
+from prymlab.riemann_roch import twisted_key
 from prymlab.scroll import scroll_report
 from support import gauss_jordan_oracle
 
@@ -185,6 +186,48 @@ def test_pivots_fall_through_a_singular_leading_block():
     assert shapes[True] > 100 and shapes[False] > 100
 
 
+def _determinant(matrix):
+    """Determinant over the Fractions, by elimination with row swaps."""
+    m, det = [[Fraction(c) for c in row] for row in matrix], Fraction(1)
+    for col in range(len(m)):
+        sel = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if sel is None:
+            return 0
+        if sel != col:
+            m[col], m[sel], det = m[sel], m[col], -det
+        det *= m[col][col]
+        for row in m[col + 1:]:
+            f = row[col] / m[col][col]
+            row[:] = [a - f * b for a, b in zip(row, m[col])]
+    return det
+
+
+def test_reduce_row_steps_give_the_leading_minors():
+    # without row swaps, row k reduced by the pivot rows 0..k-1 in turn has
+    # the k-th leading minor as its pivot; a zero minor ends the chain
+    rng = random.Random("reduce-row")
+    zero_minors = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        matrix = [[rng.randint(-3, 3) for _ in range(n + rng.randint(0, 2))] for _ in range(n)]
+        chain = []
+        for k, row in enumerate(matrix):
+            prev = 1
+            for j, prow in enumerate(chain):
+                row, prev = linalg.reduce_row(row, prow, j, prev), prow[j]
+            assert row[:k] == [0] * k
+            assert row[k] == _determinant([r[: k + 1] for r in matrix[: k + 1]]), matrix
+            if not row[k]:
+                zero_minors += 1
+                break
+            chain.append(row)
+        # the chain's rows are the rows a forward elimination of its rows leaves
+        rows = [list(r) for r in matrix[: len(chain)]]
+        assert linalg._eliminate(rows, len(matrix[0]), reduce=False)[0] == list(range(len(chain)))
+        assert rows == chain
+    assert zero_minors > 10
+
+
 def test_rank_converts_the_rows_once_through_a_singular_leading_block(monkeypatch):
     calls, eliminated = [], []
     integer_rows, eliminate = linalg._integer_rows, linalg._eliminate
@@ -259,11 +302,14 @@ def test_matches_oracle_on_genus_13_scroll_matrices(recorded_matrices, monkeypat
     eta = two_torsion_from_subset(curve, [f"w{i}" for i in (1, 4, 6, 9, 13, 20, 22, 27)])
     report = scroll_report(curve, eta)
     assert (report.e1, report.e2) == (13 - 1 - 4, 4 - 2)
+    # the report reads the pencil off its mask chain, without a matrix; the
+    # matrix that the chain stands for is eliminated here
+    riemann_roch._matrix_profile(curve, twisted_key(curve, (0, (), 24), eta.mask))
     _check_against_oracle(recorded_matrices)
-    # the pencil's pole-ordered matrix leads with the Vandermonde block of
-    # the twist's 8 rows; the Riemann-Roch certificate's matrix is beta's,
-    # the same 8 points but only 8 // 2 + 1 = 5 columns.  Each leading block
-    # certifies its pivots in one elimination
+    # the Riemann-Roch certificate's matrix is beta's: the 8 points of the
+    # twist but only 8 // 2 + 1 = 5 columns; the pencil's pole-ordered
+    # matrix leads with the Vandermonde block of the twist's 8 rows.  Each
+    # leading block certifies its pivots in one elimination
     calls = []
     eliminate = linalg._eliminate
 
@@ -272,8 +318,8 @@ def test_matches_oracle_on_genus_13_scroll_matrices(recorded_matrices, monkeypat
         return eliminate(rows, cols, reduce)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
-    assert [(len(matrix), cols) for matrix, cols in recorded_matrices] == [(8, 20), (8, 5)]
-    for (matrix, cols), width in zip(recorded_matrices, (8, 5)):
+    assert [(len(matrix), cols) for matrix, cols in recorded_matrices] == [(8, 5), (8, 20)]
+    for (matrix, cols), width in zip(recorded_matrices, (5, 8)):
         calls.clear()
         assert linalg.pivot_columns(matrix, cols) == list(range(width))
         assert calls == [width]

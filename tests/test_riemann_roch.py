@@ -564,27 +564,34 @@ def test_fill_on_the_shifted_marked_curve_matches_both_oracles(monkeypatch, genu
         assert dim == _oracle_space(curve, member)[0], str(member)
 
 
-def _counting_eliminations(monkeypatch):
+def _counting(monkeypatch, name):
+    """The calls of `riemann_roch.<name>`, counted by their first argument."""
     calls = []
-    real = riemann_roch.pivot_columns
+    real = getattr(riemann_roch, name)
 
-    def counting(matrix, cols):
-        calls.append(cols)
-        return real(matrix, cols)
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
 
-    monkeypatch.setattr(riemann_roch, "pivot_columns", counting)
+    monkeypatch.setattr(riemann_roch, name, counting)
     return calls
 
 
 def test_a_cold_genus5_search_eliminates_once_per_affine_part(monkeypatch):
-    # maximal k, full pool, with probes: one elimination per (mask, ordinary)
+    # maximal k, full pool, with probes: one profile per (mask, ordinary)
     # part, at degree g-1, and the same 1,406 memo entries as one elimination
-    # per key; the probes ask twisted h0 at degrees 1..3, which the search filled
+    # per key; the probes ask twisted h0 at degrees 1..3, which the search
+    # filled.  Every part is ramification-only, so the mask chains serve all
+    # of them without a matrix: one new row per mask but the empty one, each
+    # reduced by the rows of its prefix
     c = HyperellipticCurve(standard_curve(5).roots)  # a fresh, empty memo
-    calls = _counting_eliminations(monkeypatch)
+    profiles = _counting(monkeypatch, "_pole_profile")
+    eliminations = _counting(monkeypatch, "pivot_columns")
+    reductions = _counting(monkeypatch, "reduce_row")
     search_report(c, two_torsion_from_subset(c, range(1, 7)), include_probes=True)
-    assert len(calls) == len({(mask, ordinary) for mask, ordinary, _ in c._h0_cache}) == 824
+    assert len(profiles) == len({(mask, ordinary) for mask, ordinary, _ in c._h0_cache}) == 824
     assert len(c._h0_cache) == 1406
+    assert (len(eliminations), len(c._chain_cache), len(reductions)) == (0, 823, 2423)
 
 
 @pytest.mark.parametrize("genus", [4, 5, 6])
@@ -594,10 +601,92 @@ def test_probes_after_a_search_eliminate_nothing(monkeypatch, genus):
         eta = two_torsion_from_subset(c, range(1, 2 * k + 1))
         search_report(c, eta)
         entries = len(c._h0_cache)
-        calls = _counting_eliminations(monkeypatch)
+        eliminations = _counting(monkeypatch, "pivot_columns")
+        reductions = _counting(monkeypatch, "reduce_row")
         geometry_probes(c, eta)
         monkeypatch.undo()
-        assert (len(calls), len(c._h0_cache)) == (0, entries), str(eta)
+        assert (len(eliminations), len(reductions), len(c._h0_cache)) == (0, 0, entries), str(eta)
+
+
+def _chain_cases():
+    for genus in (4, 5, 6):
+        yield pytest.param(standard_curve(genus).roots, id=f"standard{genus}")
+    # roots with denominators up to 12: the matrix path scales its Taylor
+    # rows by powers of q, the chain's rows p^j q^(g-1-j) by others
+    for genus in (3, 5):
+        yield pytest.param(shifted_marked_curve(genus)[0].roots, id=f"shifted{genus}")
+
+
+@pytest.mark.parametrize("roots", list(_chain_cases()))
+def test_mask_chains_give_the_matrix_profiles(monkeypatch, roots):
+    # every ramification-only key of degree 1..g-1, its mask at most g bits,
+    # asked in a seeded order so that chains are built from any prefix; the
+    # oracle is the elimination of the key's own matrix on a separate curve
+    chained, matrix = HyperellipticCurve(roots), HyperellipticCurve(roots)
+    g = chained.genus
+    keys = [(mask, (), d) for mask in range(1 << 2 * g + 1) if mask.bit_count() <= g for d in range(1, g)]
+    random.Random(f"chains:{roots}").shuffle(keys)
+    eliminations = _counting(monkeypatch, "pivot_columns")
+    profiles = [riemann_roch._pole_profile(chained, key) for key in keys]
+    monkeypatch.undo()
+    assert not eliminations
+    assert len(chained._chain_cache) == len({mask for mask, _, _ in keys}) - 1  # no row for 0
+    for key, profile in zip(keys, profiles):
+        assert profile == riemann_roch._matrix_profile(matrix, key), key
+
+
+def test_a_vanishing_leading_minor_falls_back_to_the_matrix(monkeypatch):
+    # distinct roots never give one, so a zero pivot is planted: the third
+    # reduction, the second of w3's row over the prefix w1 + w2, returns a
+    # zero row
+    c = HyperellipticCurve(standard_curve(4).roots)  # a fresh, empty memo
+    real, calls = riemann_roch.reduce_row, []
+
+    def planting(row, prow, col, prev):
+        calls.append(row)
+        reduced = real(row, prow, col, prev)
+        return [0] * len(reduced) if len(calls) == 3 else reduced
+
+    monkeypatch.setattr(riemann_roch, "reduce_row", planting)
+    eliminations = _counting(monkeypatch, "pivot_columns")
+    class_h0(c, (0b111, (), 1))
+    # the matrix path answered, and the store holds nothing for the mask
+    assert (len(calls), len(eliminations)) == (3, 1)
+    assert set(c._chain_cache) == {0b1, 0b11}
+    # the next mask with it as a prefix builds its chain again
+    class_h0(c, (0b1111, (), 1))
+    assert len(eliminations) == 1
+    assert set(c._chain_cache) == {0b1, 0b11, 0b111, 0b1111}
+    monkeypatch.undo()
+    fresh = HyperellipticCurve(c.roots)
+    assert len(c._h0_cache) == 6
+    assert c._h0_cache == {key: class_h0(fresh, key) for key in c._h0_cache}
+
+
+def test_chains_survive_a_store_cleared_mid_build(monkeypatch):
+    # with a store of 3 chains, every chain of 4 or 5 bits clears it while
+    # it is built; the chain keeps its prefix's rows in hand, builds missing
+    # prefixes again and never falls back to a matrix
+    c = HyperellipticCurve(standard_curve(5).roots)  # a fresh, empty memo
+    monkeypatch.setattr(curves, "POINT_MEMO_CAP", 3)
+    sizes = []
+    real = curves.memo_put
+
+    def recording(memo, key, value):
+        real(memo, key, value)
+        if memo is c._chain_cache:
+            sizes.append(len(memo))
+
+    monkeypatch.setattr(riemann_roch, "memo_put", recording)
+    eliminations = _counting(monkeypatch, "pivot_columns")
+    report = search_report(c, two_torsion_from_subset(c, range(1, 7)), include_probes=True)
+    monkeypatch.undo()
+    assert not eliminations
+    assert len(c._chain_cache) <= 3
+    assert max(sizes) == 3 and sizes.count(1) > 1  # filled and cleared, more than once
+    fresh = HyperellipticCurve(c.roots)
+    assert search_report(fresh, two_torsion_from_subset(fresh, range(1, 7)), include_probes=True) == report
+    assert c._h0_cache == fresh._h0_cache
 
 
 def _negative_degree_cases():

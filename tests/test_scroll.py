@@ -94,28 +94,37 @@ def test_dj_raises_after_one_h0_call_when_h0_is_off(monkeypatch):
 
 
 def test_genus13_report_runs_two_eliminations_and_one_h0_call(monkeypatch):
-    # one elimination for the whole pencil profile, one for the h0 certificate
-    # of beta, a degree-0 divisor whose matrix is 8 x (8 // 2 + 1)
+    # one profile for the whole pencil, one elimination for the h0
+    # certificate of beta, a degree-0 divisor whose matrix is 8 x (8 // 2 + 1)
     rng = random.Random("scroll-cost")
     c = HyperellipticCurve(rng.sample(range(-39, 40), 27))  # a fresh, empty memo
-    eliminations, h0_calls = [], []
-    real_eliminate, real_h0 = linalg._eliminate, scroll.h0
+    eliminations, reductions, h0_calls = [], [], []
+    real_eliminate, real_reduce, real_h0 = linalg._eliminate, riemann_roch.reduce_row, scroll.h0
 
     def eliminate(*args, **kwargs):
         eliminations.append(args[1])
         return real_eliminate(*args, **kwargs)
+
+    def reduce(row, *args):
+        reductions.append(len(row))
+        return real_reduce(row, *args)
 
     def counted_h0(curve, divisor):
         h0_calls.append(divisor)
         return real_h0(curve, divisor)
 
     monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(riemann_roch, "reduce_row", reduce)
     monkeypatch.setattr(scroll, "h0", counted_h0)
     report = scroll_report(c, two_torsion_from_subset(c, range(1, 9)))
     assert (report.e1, report.e2) == (8, 2)
-    # the nonsingular leading 8 x 8 block of the twist's 8 rows, then the
-    # leading 5 x 5 block of beta's 8 rows
-    assert eliminations == [8, 5]
+    # the pencil is ramification-only of degree 2g-2, so the mask chain of
+    # the twist's 8 roots certifies its leading 8 x 8 block: row k is reduced
+    # by the k rows above it, its width shrinking from g = 13 by one each
+    # step, 0 + 1 + ... + 7 = 28 row reductions and no matrix.  Beta, at
+    # degree 0, stays off the chain: the leading 5 x 5 block of its own 8 rows
+    assert reductions == [13 - j for k in range(8) for j in range(k)]
+    assert eliminations == [5]
     assert [d.degree for d in h0_calls] == [0]
 
 
