@@ -48,34 +48,37 @@ those three parts, checking each point on the curve once: `class_key` reads
 the mask off it, `riemann_roch_space` hands it to the one condition-matrix
 builder, and `jacobian.mumford_of_divisor` reads its Mumford pair off it.
 
-Every h0 is read off one pole profile of the condition rows built straight
-from the key, for the class member with coefficient 1 at each point of the
-mask, the key's ordinary terms, and oo taking the rest of the degree; no
-representative `Divisor` is built.  The columns are put in pole
-order at oo, x^i at 2i and x^i*y at 2i+2g+1, bounded by cap = 2 deg(den) +
-n_inf.  Lowering the degree by j >= 0 lowers cap by j and changes no row
-(the denominator and the vanishing orders depend only on the affine part),
-so the condition matrix of D - j oo is the column prefix of order at most
-cap - j, up to row scaling.  Leftmost pivots are the column rank profile,
-so its h0 is the prefix's column count minus the pivots inside it
-(`_prefix_h0`).  `pencil_h0s` reads D - 2j oo for every j off one profile.
-A `class_h0` miss on a ramification-only key at degree 1 <= d < g-1 is
-profiled once at degree g-1, the top of the search range, and fills the
-memo at every degree d..g-1 of that mask; every other miss is profiled
-at its own degree.  A search asks for one mask at many degrees, so the
-fill turns later lookups into hits.  Keys with ordinary terms are left out
-because the divisors that carry them rarely repeat, and a wider matrix
-with Taylor and branch rows costs more than the hits it buys.  Degree 0 is
-left out because there h0(beta) certifies the pencil of
-`scroll.dj_sequence`, and it stays an elimination of beta's own narrow
-rows, independent of the pencil's.
+Every h0 is computed for the class member with coefficient 1 at each
+point of the mask, the key's ordinary terms, and oo taking the rest of the
+degree; no representative `Divisor` is built.  The columns of its
+condition rows are the monomials x^i (pole order 2i at oo) and x^i*y
+(2i+2g+1) of pole order at most cap = 2 deg(den) + n_inf.  There are two
+routes, each exact:
 
-A ramification-only key of degree >= 1 needs no matrix: the chain of its
-mask, which has at most g bits once folded, certifies the profile.  The
-key's r rows evaluate x^0, x^1, ... at the mask's roots, each times a power
-of q, and in pole order its first w = min(r, columns) <= g columns are
-x^0..x^(w-1), so the pivots are 0..w-1 when the leading minors of the
-Vandermonde rows are nonzero, which distinct roots guarantee.
+  * The chain route, for a ramification-only key of degree >= 1 whose
+    mask has at most g bits, as every folded mask has (`_chain_h0`).  Its
+    r rows evaluate x^0, x^1, ... at the mask's roots, each times a power
+    of q, cap is r + degree, and the first g+1 columns in pole order are
+    x^0..x^g.  When the leading minors of those Vandermonde rows are
+    nonzero, which distinct roots guarantee, the pivots are the first
+    min(r, columns) columns, so h0 is the column count less r, or 0 when
+    there are fewer columns than rows.  Nothing is listed per column, so
+    a multiplicity of 10^12 at oo costs what a small one does.
+  * The matrix route, for every other key: with ordinary terms, of degree
+    <= 0, or with a mask of more than g bits (`_matrix_h0`).  Its h0 is
+    the column count less the rank of the condition matrix built from the
+    key, from one `pivot_columns` call.
+
+Both give h0 >= 0 by construction.  A `class_h0` miss on the chain route
+at degree 1 <= d < g-1 fills the memo at every degree d..g-1 of that mask:
+a search asks for one mask at many degrees, so the fill turns later
+lookups into hits, and chains evicted from their store are not rebuilt
+for them.  `pencil_h0s` counts D - 2j oo for every j off the chain of D's
+mask.  Degree 0 takes the matrix route, though the count would hold
+there, because h0(beta) certifies the pencil of `scroll.dj_sequence`: it
+stays an elimination of beta's own narrow rows, independent of the chain
+the pencil is counted off.
+
 Fraction-free elimination without row swaps (`linalg.reduce_row`) has the
 k-th leading minor as its pivot k, and pivot row k depends only on rows
 0..k.  So the chain of a mask, the pivot rows of the width-g rows
@@ -85,17 +88,13 @@ one row reduced by it: O(r g) for a new mask instead of an r x r
 elimination.  The per-curve chain store maps a mask to its chain through
 `curves.memo_put`, so it holds at most `POINT_MEMO_CAP` masks and is
 cleared when full; a chain whose prefix is missing builds the prefix
-again.  A chain whose last pivot vanishes is not stored, and its key falls
-back to the matrix.  Keys with ordinary terms and keys of degree <= 0 are
-always eliminated as matrices: degree 0 is beta's certificate for the
-pencil (above), whose own profile comes off the chain when it is
-ramification-only.
+again.  A chain whose last pivot vanishes is an engine bug: it raises
+`ArithmeticError`, and neither the chain nor any h0 is stored.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -395,106 +394,77 @@ def _class_member(curve: HyperellipticCurve, key: ClassKey):
     return ramification, ordinary, degree - len(ramification) - sum(n for _, n in ordinary)
 
 
-def _pole_orders(curve: HyperellipticCurve, na: int, nb: int):
-    """The pole orders of the na a- and nb b-columns in increasing order, and
-    the permutation that puts the [a | b] columns in that order; None when
-    there are no b-columns, as [a | b] is then already in pole order."""
-    orders = range(0, 2 * na, 2)
-    if not nb:
-        return orders, None
-    orders = list(orders) + [2 * j + 2 * curve.genus + 1 for j in range(nb)]
-    perm = sorted(range(na + nb), key=orders.__getitem__)
-    return [orders[c] for c in perm], perm
+def _matrix_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
+    """h0 of the key's class: the columns of its condition matrix less its
+    rank, from one `pivot_columns` call (module docstring)."""
+    _, na, nb, rows = _space_matrix(curve, *_class_member(curve, key))
+    return na + nb - len(pivot_columns(rows, na + nb))
 
 
-def _matrix_profile(curve: HyperellipticCurve, key: ClassKey):
-    """(cap, column pole orders, pivot columns) of the key's condition
-    matrix, from one `pivot_columns` call on its columns in pole order."""
-    ramification, ordinary, n_inf = _class_member(curve, key)
-    den, na, nb, rows = _space_matrix(curve, ramification, ordinary, n_inf)
-    orders, perm = _pole_orders(curve, na, nb)
-    if perm is not None:
-        rows = [[row[c] for c in perm] for row in rows]
-    return 2 * sum(m for _, m in den) + n_inf, orders, pivot_columns(rows, na + nb)
-
-
-def _mask_chain(curve: HyperellipticCurve, mask: int) -> tuple[list[int], ...] | None:
+def _mask_chain(curve: HyperellipticCurve, mask: int) -> tuple[list[int], ...]:
     """The Bareiss pivot rows of the width-g rows p^j q^(g-1-j) of the mask's
     roots p/q in label order, pivot row k from column k on (it is zero
-    before), or None when a leading minor of theirs vanishes.  A chain
-    missing from the store is its prefix's, the mask without its top bit,
-    plus the top root's row reduced by those rows, a column shorter after
-    each; it enters the store only when its last pivot is nonzero (module
-    docstring)."""
+    before).  A chain missing from the store is its prefix's, the mask
+    without its top bit, plus the top root's row reduced by those rows, a
+    column shorter after each.  A vanishing leading minor, which distinct
+    roots never give, raises and stores nothing (module docstring)."""
     if not mask:
         return ()
     rows = curve._chain_cache.get(mask)
     if rows is None:
         top = mask.bit_length() - 1
         prefix = _mask_chain(curve, mask ^ 1 << top)
-        if prefix is None:
-            return None
         g, x0 = curve.genus, curve.roots[top]
         p, q = x0.numerator, x0.denominator
         row, prev = [p**j * q ** (g - 1 - j) for j in range(g)], 1
         for prow in prefix:
             row, prev = reduce_row(row, prow, 0, prev)[1:], prow[0]
         if not row[0]:
-            return None
+            raise ArithmeticError(f"zero leading minor of mask {mask:#b}: engine bug")
         rows = (*prefix, row)
         memo_put(curve._chain_cache, mask, rows)
     return rows
 
 
-def _pole_profile(curve: HyperellipticCurve, key: ClassKey):
-    """(cap, column pole orders, pivot columns) of the key's condition
-    matrix in pole order.  A ramification-only key of degree >= 1, its mask
-    of at most g bits as every folded mask is, whose mask chain certifies
-    its leading minors has the pivots 0..w-1 and needs no matrix; any other
-    key is eliminated by `_matrix_profile`."""
-    mask, ordinary, degree = key
-    r = mask.bit_count()
-    if ordinary or degree < 1 or r > curve.genus or _mask_chain(curve, mask) is None:
-        return _matrix_profile(curve, key)
+def _chain_h0(curve: HyperellipticCurve, mask: int, degree: int) -> int:
+    """h0 of the ramification-only class of this mask, of at most g bits,
+    and degree: the monomials of pole order at most r + degree less the r
+    pivots that the mask chain certifies among them, or 0 when there are
+    fewer (module docstring)."""
+    r = len(_mask_chain(curve, mask))
     na, nb = _monomial_counts(curve, r + degree)
-    return r + degree, _pole_orders(curve, na, nb)[0], list(range(min(r, na + nb)))
-
-
-def _prefix_h0(orders: Sequence[int], pivots: Sequence[int], cap: int) -> int:
-    """h0 of the column prefix of pole order at most `cap` of a pole profile:
-    its column count less the pivots among them (module docstring)."""
-    n = bisect_right(orders, cap)
-    dim = n - bisect_left(pivots, n)
-    if dim < 0:
-        raise ArithmeticError(f"h0 {dim} of a pole profile prefix: engine bug")
-    return dim
+    return max(0, na + nb - r)
 
 
 def class_h0(curve: HyperellipticCurve, key: ClassKey) -> int:
     """dim L(D) for the class with this key, from the per-curve memo.  A miss
-    on a ramification-only key at degree 1 <= d < g-1 reads the pole profile
-    of degree g-1 and fills the memo at every degree d..g-1 of the mask; any
-    other miss reads its own (module docstring)."""
+    with ordinary terms, at degree <= 0 or on a mask of more than g bits is
+    `_matrix_h0` of its own key; any other miss is `_chain_h0`, and at degree
+    1 <= d < g-1 it fills the memo at every degree d..g-1 of the mask
+    (module docstring)."""
     cache = curve._h0_cache
     dim = cache.get(key)
     if dim is None:
         mask, ordinary, degree = key
-        top = curve.genus - 1 if not ordinary and 0 < degree < curve.genus - 1 else degree
-        cap, orders, pivots = _pole_profile(curve, (mask, ordinary, top))
-        for d in range(top, degree - 1, -1):
-            dim = cache[mask, ordinary, d] = _prefix_h0(orders, pivots, cap - (top - d))
+        if ordinary or degree < 1 or mask.bit_count() > curve.genus:
+            dim = cache[key] = _matrix_h0(curve, key)
+        else:
+            for d in range(max(degree, curve.genus - 1), degree - 1, -1):
+                dim = cache[mask, (), d] = _chain_h0(curve, mask, d)
     return dim
 
 
 def pencil_h0s(curve: HyperellipticCurve, key: ClassKey) -> tuple[int, ...]:
-    """dim L(D - j * 2oo) for the class D with this key, for j = 0, 1, ...
-    up to the first 0, or up to j = g-1 at the latest: the prefixes of D's
-    pole profile of pole order at most cap - 2j (module docstring).  Reads
-    and writes no memo."""
-    cap, orders, pivots = _pole_profile(curve, key)
+    """dim L(D - j * 2oo) for the ramification-only class D with this key,
+    for j = 0, 1, ... up to the first 0, or up to j = g-1 at the latest,
+    each counted off the one chain of D's mask (module docstring).  Reads
+    and writes no h0 memo; a key with ordinary terms is refused."""
+    mask, ordinary, degree = key
+    if ordinary:
+        raise ValueError("pencil_h0s takes ramification-only keys, not ordinary terms")
     values: list[int] = []
     while len(values) < curve.genus and (not values or values[-1] > 0):
-        values.append(_prefix_h0(orders, pivots, cap - 2 * len(values)))
+        values.append(_chain_h0(curve, mask, degree - 2 * len(values)))
     return tuple(values)
 
 

@@ -8,12 +8,13 @@ degree-2 pencil fibres.  The scroll type is read off the sequence
 
 via e_i = #{j : d_j >= i} - 1, and must come out as (g-1-k, k-2); the module
 asserts that equality on every run, so any drift in the h0 engine surfaces
-as a hard error rather than a wrong report.  Every h0 along the pencil comes
-from one elimination (`riemann_roch.pencil_h0s`, pole-ordered columns), and
-its first value is certified by Riemann-Roch as g - 1 + h0(beta), one `h0`
-of another matrix.  For k >= 3 (the very-ample range) the scroll
-determines the syzygies of the embedded curve through the factorization
-type (m, b) = (g-k-1, 2k): the resolution shape parameters
+as a hard error rather than a wrong report.  Every h0 along the pencil is
+counted off the mask chain of the twisted canonical class, with no matrix
+(`riemann_roch.pencil_h0s`), and its first value is certified by
+Riemann-Roch as g - 1 + h0(beta), one elimination of beta's own condition
+matrix and the only one a report makes.  For k >= 3 (the very-ample range)
+the scroll determines the syzygies of the embedded curve through the
+factorization type (m, b) = (g-k-1, 2k): the resolution shape parameters
 
     nu = ceil((b-1) / (m+b-g-1)),   p = nu*(m+b-g-1) - b + 1
 
@@ -53,8 +54,8 @@ def dj_sequence(curve: HyperellipticCurve, eta: TwoTorsionClass) -> tuple[int, .
     Requires k >= 2 (for k = 1 the system has base points and the scroll
     construction does not apply).  The values h0(canonical + eta - j * pencil)
     for j = 0, 1, ..., up to the first 0 or to j = g-1 (degree 0) at the
-    latest, come from one elimination of the j = 0 condition rows, keyed by
-    K's key twisted by eta (`pencil_h0s`); the first value must equal
+    latest, are counted off one mask chain, that of K's key twisted by eta
+    (`pencil_h0s`); the first value must equal
     g - 1 + h0(beta) by Riemann-Roch, as K - (K + eta) = -beta ~ beta.  The
     values must start at g-1 and end at 0, d_0 must be 2, and every drop must
     be 1 or 2: while sections are left, the moving pencil removes at least

@@ -39,15 +39,6 @@ MUTANTS = (
         "test_fractional_roots_riemann_roch_with_ordinary_points",
     ),
     Mutant(
-        "pencil-pivot-count",
-        "riemann_roch.py",
-        "bisect_left(pivots, n)",
-        "bisect_left(pivots, n + 1)",
-        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]"
-        " (a fill whose prefix and next column are all pivots reads -1, which"
-        " `_prefix_h0` refuses)",
-    ),
-    Mutant(
         "bareiss-zero-entry-unscaled",
         "linalg.py",
         "return [piv * a // prev for a in row]",
@@ -203,21 +194,9 @@ MUTANTS = (
         "riemann_roch.py",
         "len(values) < curve.genus and ",
         "",
-        "killed: tests/test_riemann_roch.py::test_pencil_h0s_match_class_h0_with_ordinary_terms",
-    ),
-    Mutant(
-        "pole-order-skipped",
-        "riemann_roch.py",
-        "sorted(range(na + nb), key=orders.__getitem__)",
-        "range(na + nb)",
-        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[scroll]",
-    ),
-    Mutant(
-        "pole-order-b-column-off-by-one",
-        "riemann_roch.py",
-        "2 * j + 2 * curve.genus + 1",
-        "2 * j + 2 * curve.genus - 1",
-        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[scroll]",
+        "killed: tests/test_riemann_roch.py::test_pencil_h0s_match_the_matrix_route_on_shifted_curves[3]"
+        " (tests/test_riemann_roch.py::test_pencil_h0s_stop_after_g_values_when_h0_never_reaches_zero"
+        " kills it too)",
     ),
     Mutant(
         "once-per-run-recomputes",
@@ -232,8 +211,8 @@ MUTANTS = (
         "cap = 2 * sum(m for _, m in den) + n_inf",
         "cap = 2 * sum(m for _, m in den) + n_inf + 1",
         "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[engine]"
-        " (every `h0` reads the prefix up to `_pole_profile`'s own cap, which drops the"
-        " extra column; the bases of `riemann_roch_space` keep it)",
+        " (the matrix route counts the extra column; the chain route, which never"
+        " builds a matrix, does not)",
     ),
     Mutant(
         "no-mod-2-fold",
@@ -280,42 +259,6 @@ MUTANTS = (
         " marked curve, and with f wrong its marked point fails `curve.contains`)",
     ),
     Mutant(
-        "fill-one-degree-short",
-        "riemann_roch.py",
-        "top = curve.genus - 1 if",
-        "top = curve.genus - 2 if",
-        "killed: tests/test_riemann_roch.py::"
-        "test_widened_misses_match_own_degree_profiles_on_a_genus5_search"
-        " (every value stays right; only the elimination count grows, which"
-        " test_a_cold_genus5_search_eliminates_once_per_affine_part also pins)",
-    ),
-    Mutant(
-        "fill-cap-steps-by-two",
-        "riemann_roch.py",
-        "cap - (top - d)",
-        "cap - 2 * (top - d)",
-        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]",
-    ),
-    Mutant(
-        "fill-widens-degree-0",
-        "riemann_roch.py",
-        "and 0 < degree < curve.genus - 1",
-        "and 0 <= degree < curve.genus - 1",
-        "killed: tests/test_linalg.py::test_matches_oracle_on_genus_13_scroll_matrices"
-        " (beta's recorded 8 x 5 matrix widens; the [8, 5] pin of"
-        " tests/test_scroll.py::test_genus13_report_runs_two_eliminations_and_one_h0_call"
-        " fails too)",
-    ),
-    Mutant(
-        "fill-widens-ordinary-terms",
-        "riemann_roch.py",
-        "if not ordinary and 0 < degree",
-        "if 0 < degree",
-        "killed: tests/test_riemann_roch.py::"
-        "test_fill_on_the_shifted_marked_curve_matches_both_oracles[3]"
-        " (every value stays right; keys with ordinary terms are eliminated at g-1)",
-    ),
-    Mutant(
         "poly-difference-adds",
         "polynomials.py",
         "sign * (den // db)",
@@ -346,20 +289,6 @@ MUTANTS = (
         " (tests/test_prym.py::test_trisecant_witnesses_match_the_residual_oracle kills it too)",
     ),
     Mutant(
-        "fill-stops-above-asked-degree",
-        "riemann_roch.py",
-        "range(top, degree - 1, -1)",
-        "range(top, degree, -1)",
-        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]",
-    ),
-    Mutant(
-        "negative-h0-passes",
-        "riemann_roch.py",
-        "if dim < 0:",
-        "if dim < -1:",
-        "killed: tests/test_riemann_roch.py::test_a_profile_with_more_pivots_than_columns_is_refused",
-    ),
-    Mutant(
         "reduce-row-divides-by-new-pivot",
         "linalg.py",
         "return [(piv * a - f * b) // prev for a, b in zip(row, prow)]",
@@ -372,18 +301,9 @@ MUTANTS = (
         "riemann_roch.py",
         "prefix = _mask_chain(curve, mask ^ 1 << top)",
         "prefix = _mask_chain(curve, mask & mask - 1)",
-        "killed: tests/test_linalg.py::test_matches_oracle_on_genus_13_scroll_matrices"
-        " (every value stays right: the top root's row is reduced against itself, so every"
-        " chain of two or more bits falls back to its matrix, which"
-        " tests/test_riemann_roch.py::test_mask_chains_give_the_matrix_profiles also refuses)",
-    ),
-    Mutant(
-        "chain-zero-minor-certified",
-        "riemann_roch.py",
-        "if not row[0]:",
-        "if False:",
-        "killed: tests/test_riemann_roch.py::test_a_vanishing_leading_minor_falls_back_to_the_matrix"
-        " (distinct roots never give a zero minor, so only the planted one shows it)",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]"
+        " (the top root's row is reduced against itself, so every chain of two or more bits"
+        " reads a zero pivot and raises, and the ops fail)",
     ),
     Mutant(
         "chain-takes-degree-zero",
@@ -407,8 +327,95 @@ MUTANTS = (
         "riemann_roch.py",
         "reduce_row(row, prow, 0, prev)[1:]",
         "reduce_row(row, prow, 0, prev)",
-        "killed: tests/test_linalg.py::test_matches_oracle_on_genus_13_scroll_matrices"
-        " (every value stays right: each reduced row keeps its zero column, so every chain"
-        " of two or more bits reads a zero pivot and falls back to its matrix)",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]"
+        " (each reduced row keeps its zero column, so every chain of two or more bits reads"
+        " a zero pivot and raises, and the ops fail)",
+    ),
+    Mutant(
+        "fill-top-one-short",
+        "riemann_roch.py",
+        "max(degree, curve.genus - 1)",
+        "max(degree, curve.genus - 2)",
+        "killed: tests/test_riemann_roch.py::test_a_chain_miss_fills_every_degree_up_to_g_minus_1"
+        " (every value stays right; only the memo entries written per miss change)",
+    ),
+    Mutant(
+        "fill-top-one-past",
+        "riemann_roch.py",
+        "curve.genus - 1), degree",
+        "curve.genus), degree",
+        "killed: tests/test_riemann_roch.py::test_a_chain_miss_fills_every_degree_up_to_g_minus_1"
+        " (every value stays right; each miss writes degree g too)",
+    ),
+    Mutant(
+        "fill-off",
+        "riemann_roch.py",
+        "range(max(degree, curve.genus - 1), ",
+        "range(degree, ",
+        "killed: tests/test_riemann_roch.py::test_a_chain_miss_fills_every_degree_up_to_g_minus_1"
+        " (every value stays right; each miss writes its own key alone)",
+    ),
+    Mutant(
+        "fill-skips-asked-degree",
+        "riemann_roch.py",
+        "degree - 1, -1)",
+        "degree, -1)",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]"
+        " (a miss at degree g-1 or above writes nothing and returns None)",
+    ),
+    Mutant(
+        "chain-cap-one-high",
+        "riemann_roch.py",
+        "_monomial_counts(curve, r + degree)",
+        "_monomial_counts(curve, r + degree + 1)",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[classify]",
+    ),
+    Mutant(
+        "chain-count-unclamped",
+        "riemann_roch.py",
+        "max(0, na + nb - r)",
+        "na + nb - r",
+        "killed: tests/test_riemann_roch.py::test_pencil_h0s_match_the_matrix_route_on_shifted_curves[3]"
+        " (a mask of more bits than columns reads a negative h0;"
+        " tests/test_riemann_roch.py::test_a_chain_with_more_pivots_than_columns_reads_zero"
+        " kills it too)",
+    ),
+    Mutant(
+        "route-ordinary-on-chain",
+        "riemann_roch.py",
+        "if ordinary or degree < 1",
+        "if degree < 1",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[engine]",
+    ),
+    Mutant(
+        "route-g-bit-mask-on-matrix",
+        "riemann_roch.py",
+        "mask.bit_count() > curve.genus",
+        "mask.bit_count() >= curve.genus",
+        "killed: tests/test_riemann_roch.py::"
+        "test_widened_misses_match_own_degree_profiles_on_a_genus5_search"
+        " (every value stays right; masks of g bits are eliminated as matrices)",
+    ),
+    Mutant(
+        "chain-zero-minor-stored",
+        "riemann_roch.py",
+        'raise ArithmeticError(f"zero leading minor of mask {mask:#b}: engine bug")',
+        "pass",
+        "killed: tests/test_riemann_roch.py::test_a_vanishing_leading_minor_raises_and_stores_nothing"
+        " (distinct roots never give a zero minor, so only the planted one shows it)",
+    ),
+    Mutant(
+        "pencil-step-by-one",
+        "riemann_roch.py",
+        "degree - 2 * len(values)",
+        "degree - len(values)",
+        "killed: perfbench/test_perfbench.py::test_same_seed_same_inputs_and_digest[scroll]",
+    ),
+    Mutant(
+        "pencil-takes-ordinary-terms",
+        "riemann_roch.py",
+        "if ordinary:",
+        "if False:",
+        "killed: tests/test_riemann_roch.py::test_pencil_h0s_refuse_ordinary_terms",
     ),
 )

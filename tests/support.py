@@ -20,8 +20,8 @@ from prymlab import (
     cantor_identity,
     cantor_negate,
     curve_with_marked_point,
-    h0,
     mumford_of_point,
+    riemann_roch,
     series_sqrt_branch,
 )
 
@@ -66,18 +66,18 @@ def mumford_point_by_point_oracle(curve: HyperellipticCurve, divisor: Divisor) -
 
 def pencil_values_oracle(curve: HyperellipticCurve, base: Divisor) -> tuple[int, ...]:
     """h0(base - j * pencil) for j = 0, 1, ..., up to the first 0 or to
-    j = g-1 at the latest, one `h0` on a `Divisor` per j.
+    j = g-1 at the latest, each on the matrix route of its own class key.
 
-    Reference for `prymlab.riemann_roch.pencil_h0s`: every value is its own
-    full-width elimination of its own condition matrix, where the function
-    under test reads all of them off column prefixes of one elimination.  A
-    rank does not depend on column order, so the pole order both share does
-    not tie them together.
+    Reference for `prymlab.riemann_roch.pencil_h0s`: every value is the
+    column count less the rank of its own condition matrix, where the
+    function under test counts all of them off one mask chain and builds no
+    matrix.
     """
     pencil = curve.pencil_divisor()
-    values = [h0(curve, base)]
+    values = [riemann_roch._matrix_h0(curve, riemann_roch.class_key(curve, base))]
     while values[-1] > 0 and len(values) < curve.genus:
-        values.append(h0(curve, base - len(values) * pencil))
+        key = riemann_roch.class_key(curve, base - len(values) * pencil)
+        values.append(riemann_roch._matrix_h0(curve, key))
     return tuple(values)
 
 

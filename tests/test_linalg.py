@@ -302,13 +302,13 @@ def test_matches_oracle_on_genus_13_scroll_matrices(recorded_matrices, monkeypat
     eta = two_torsion_from_subset(curve, [f"w{i}" for i in (1, 4, 6, 9, 13, 20, 22, 27)])
     report = scroll_report(curve, eta)
     assert (report.e1, report.e2) == (13 - 1 - 4, 4 - 2)
-    # the report reads the pencil off its mask chain, without a matrix; the
+    # the report counts the pencil off its mask chain, without a matrix; the
     # matrix that the chain stands for is eliminated here
-    riemann_roch._matrix_profile(curve, twisted_key(curve, (0, (), 24), eta.mask))
+    riemann_roch._matrix_h0(curve, twisted_key(curve, (0, (), 24), eta.mask))
     _check_against_oracle(recorded_matrices)
     # the Riemann-Roch certificate's matrix is beta's: the 8 points of the
-    # twist but only 8 // 2 + 1 = 5 columns; the pencil's pole-ordered
-    # matrix leads with the Vandermonde block of the twist's 8 rows.  Each
+    # twist but only 8 // 2 + 1 = 5 columns; the pencil's [a | b] matrix
+    # leads with the Vandermonde block of the twist's 8 rows.  Each
     # leading block certifies its pivots in one elimination
     calls = []
     eliminate = linalg._eliminate

@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -458,92 +460,155 @@ def test_pencil_h0s_match_the_oracle_on_seeded_genus13_classes():
             assert pencil_h0s(c, class_key(c, base)) == pencil_values_oracle(c, base), str(eta)
 
 
-def test_pencil_h0s_match_class_h0_with_ordinary_terms():
-    # P and conj(P) put nonzero b-parts into the rows, which only the pole
-    # order of the columns makes into prefixes; x0 = 1/3 scales the rows
+def test_pencil_h0s_refuse_ordinary_terms():
+    # the pencil is counted off a mask chain, which a key with ordinary
+    # terms does not have; no caller passes one
     curve, marked = shifted_marked_curve()
-    g = curve.genus
-    affine = curve.weierstrass_points[:-1]
-    rng = random.Random("pencil-h0s:ordinary")
-    nonzero = (-3, -2, -1, 1, 2, 3)
-    for _ in range(150):
-        terms = [(w, rng.choice(nonzero)) for w in rng.sample(affine, rng.randint(0, len(affine)))]
-        terms += [(marked, rng.choice(nonzero)), (marked.conjugate(), rng.choice(nonzero))]
-        terms.append((INFINITY, rng.randint(-1, 2 * g + 2) - sum(n for _, n in terms)))
-        mask, ordinary, degree = key = class_key(curve, Divisor(terms))
-        assert len(ordinary) == 2
+    key = class_key(curve, Divisor(((marked, 1), (marked.conjugate(), 1), (INFINITY, 2))))
+    with pytest.raises(ValueError, match="ordinary terms"):
+        pencil_h0s(curve, key)
+
+
+@pytest.mark.parametrize("genus", [3, 5])
+def test_pencil_h0s_match_the_matrix_route_on_shifted_curves(genus):
+    # roots with denominators up to 12, seeded masks and degrees from -1 on:
+    # every value is the matrix route's h0 of its own key on a separate
+    # curve, walked with the same stop rule
+    roots = shifted_marked_curve(genus)[0].roots
+    chained, matrix = HyperellipticCurve(roots), HyperellipticCurve(roots)
+    g = chained.genus
+    rng = random.Random(f"pencil-h0s:shifted{genus}")
+    for _ in range(60):
+        mask = sum(1 << i for i in rng.sample(range(2 * g + 1), rng.randint(0, g)))
+        degree = rng.randint(-1, 2 * g + 2)
         expected: list[int] = []
         while len(expected) < g and (not expected or expected[-1] > 0):
-            expected.append(class_h0(curve, (mask, ordinary, degree - 2 * len(expected))))
-        assert pencil_h0s(curve, key) == tuple(expected), str(key)
+            expected.append(riemann_roch._matrix_h0(matrix, (mask, (), degree - 2 * len(expected))))
+        assert pencil_h0s(chained, (mask, (), degree)) == tuple(expected), (mask, degree)
 
 
 def test_pencil_h0s_stop_after_g_values_when_h0_never_reaches_zero(monkeypatch):
-    # a profile without pivots keeps every column, so no prefix reaches 0
-    # and only the stop rule ends the walk, after j = g-1
+    # a chain planted without pivots keeps every column, so no count
+    # reaches 0 and only the stop rule ends the walk, after j = g-1
     c = standard_curve(5)
     key = twisted_key(c, (0, (), 2 * c.genus - 2), 0b1111)
-    real = riemann_roch._pole_profile
-    monkeypatch.setattr(riemann_roch, "_pole_profile", lambda curve, k: real(curve, k)[:2] + ([],))
+    monkeypatch.setattr(
+        riemann_roch,
+        "_chain_h0",
+        lambda curve, mask, degree: sum(riemann_roch._monomial_counts(curve, mask.bit_count() + degree)),
+    )
     # cap = 12, columns of pole order 0, 2, ..., 12 and 11
     assert pencil_h0s(c, key) == (8, 6, 5, 4, 3)
 
 
-def test_a_profile_with_more_pivots_than_columns_is_refused(monkeypatch):
-    # four pivots among three columns of pole order 0, 2, 4: the prefix
-    # count reads -1, which no reader of an h0 may be handed
-    monkeypatch.setattr(riemann_roch, "_pole_profile", lambda curve, key: (4, [0, 2, 4], [0, 1, 2, 2]))
-    c = HyperellipticCurve(standard_curve(3).roots)  # a fresh, empty memo
-    with pytest.raises(ArithmeticError, match="h0 -1 .*engine bug"):
-        class_h0(c, (0b11, (), 2))
-    assert not c._h0_cache
-    with pytest.raises(ArithmeticError, match="h0 -1 .*engine bug"):
-        pencil_h0s(c, twisted_key(c, (0, (), 4), 0b11))
+def test_a_chain_with_more_pivots_than_columns_reads_zero():
+    # six roots at genus 6 and degree 1: cap = 7 has the 4 columns
+    # x^0..x^3 under 6 certified pivots.  The count is 0, as the rank 4 of
+    # the matrix route gives, never 4 - 6; so is the second value of the
+    # pencil from degree 6, where cap = 12 has 7 columns and cap = 10 has 6
+    c = HyperellipticCurve(standard_curve(6).roots)  # a fresh, empty memo
+    key = (0b111111, (), 1)
+    assert class_h0(c, key) == 0 == riemann_roch._matrix_h0(HyperellipticCurve(c.roots), key)
+    assert pencil_h0s(c, (0b111111, (), 6)) == (1, 0)
 
 
-def _assert_memo_matches_own_degree_profiles(curve):
-    # the oracle for the widened fill is the elimination it replaces: the
-    # pole profile of each key at the key's own degree
+def test_a_chain_miss_fills_every_degree_up_to_g_minus_1():
+    # a ramification-only miss at 1 <= d < g-1 writes the mask at d..g-1;
+    # one at or above g-1, and every matrix-route miss (degree <= 0 or
+    # ordinary terms), writes its own key alone
+    curve, marked = curve_with_marked_point(5)
+    c = HyperellipticCurve(curve.roots)  # a fresh, empty memo
+    class_h0(c, (0b11, (), 2))
+    assert set(c._h0_cache) == {(0b11, (), d) for d in (2, 3, 4)}
+    class_h0(c, (0b11, (), 1))
+    assert set(c._h0_cache) == {(0b11, (), d) for d in (1, 2, 3, 4)}
+    ordinary = ((marked, 1),)
+    for key in [(0b11, (), 6), (0b11, (), 0), (0b101, (), -1), (0b11, ordinary, 2)]:
+        class_h0(c, key)
+    assert set(c._h0_cache) == {(0b11, (), d) for d in (0, 1, 2, 3, 4, 6)} | {
+        (0b101, (), -1),
+        (0b11, ordinary, 2),
+    }
+    _assert_memo_matches_the_matrix_route(c)
+
+
+def test_h0_of_a_huge_multiple_of_infinity_lists_no_columns():
+    # h0(D) = deg D - g + 1 above degree 2g - 2.  The chain route counts the
+    # monomials of pole order <= cap instead of listing them, so a
+    # multiplicity of 10**12 at oo costs what a small one does
+    c = HyperellipticCurve(standard_curve(2).roots)  # a fresh, empty memo
+    n = 10**12
+    divisors = [Divisor.of_point(INFINITY, n), Divisor(((c.weierstrass_points[0], 1), (INFINITY, n)))]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        dims = [h0(c, d) for d in divisors]
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == [d.degree - c.genus + 1 for d in divisors] == [n - 1, n]
+    assert peak < 1 << 20, peak
+    assert elapsed < 0.5, elapsed
+
+
+def _assert_memo_matches_the_matrix_route(curve):
+    # the oracle for both routes and the fill is the matrix route on a
+    # separate curve: each key's own columns less its own rank
+    matrix = HyperellipticCurve(curve.roots)
     for key, dim in curve._h0_cache.items():
-        _, orders, pivots = riemann_roch._pole_profile(curve, key)
-        assert dim == len(orders) - len(pivots), key
+        assert dim == riemann_roch._matrix_h0(matrix, key), key
 
 
-def _recording_profiles(monkeypatch):
-    profiled = []
-    real = riemann_roch._pole_profile
+def _counting(monkeypatch, name):
+    """The argument tuples of the calls of `riemann_roch.<name>`."""
+    calls = []
+    real = getattr(riemann_roch, name)
 
-    def recording(curve, key):
-        profiled.append(key)
-        return real(curve, key)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(riemann_roch, "_pole_profile", recording)
-    return profiled
+    monkeypatch.setattr(riemann_roch, name, counting)
+    return calls
+
+
+def _chain_runs(calls):
+    """The degrees of `_chain_h0` calls, one list per mask, in call order."""
+    runs: dict[int, list[int]] = {}
+    for _, mask, degree in calls:
+        runs.setdefault(mask, []).append(degree)
+    return runs
 
 
 def test_widened_misses_match_own_degree_profiles_on_a_genus5_search(monkeypatch):
+    # the search asks degrees 1..3 and the probes degrees 1..3 too: each
+    # mask misses once and is counted from 4 = g-1 down to its lowest asked
+    # degree, and no key reaches the matrix route
     c = HyperellipticCurve(standard_curve(5).roots)  # a fresh, empty memo
-    profiled = _recording_profiles(monkeypatch)
+    chained = _counting(monkeypatch, "_chain_h0")
+    matrix = _counting(monkeypatch, "_matrix_h0")
     search_report(c, two_torsion_from_subset(c, range(1, 7)), include_probes=True)
-    # degrees 1..3 are eliminated at 4 = g-1, and the probes ask degrees 1..3
-    assert {d for _, _, d in profiled} == {4}
     monkeypatch.undo()
-    _assert_memo_matches_own_degree_profiles(c)
+    assert not matrix
+    assert all(run == list(range(4, run[-1] - 1, -1)) for run in _chain_runs(chained).values())
+    _assert_memo_matches_the_matrix_route(c)
 
 
 @pytest.mark.parametrize("genus", [3, 5])
 def test_fill_on_the_shifted_marked_curve_matches_both_oracles(monkeypatch, genus):
-    # roots with denominators > 1 scale the widened Taylor rows by powers of
-    # q; keys with ordinary terms at x0 = 1/3 (branch rows scaled by 1/q^s)
-    # are eliminated at their own degree.  Every memo entry is checked
-    # against its own-degree profile and against the independent Fraction
-    # oracle on the class member its key names
+    # roots with denominators > 1 scale the Taylor rows by powers of q, and
+    # the chain's rows p^j q^(g-1-j) by others; keys with ordinary terms at
+    # x0 = 1/3 (branch rows scaled by 1/q^s) and keys of degree <= 0 take
+    # the matrix route at their own degree.  Every memo entry is checked
+    # against the matrix route on a separate curve and against the
+    # independent Fraction oracle on the class member its key names
     shifted, marked = shifted_marked_curve(genus)
     curve = HyperellipticCurve(shifted.roots)  # a fresh, empty memo
     g = curve.genus
     affine = curve.weierstrass_points[:-1]
     rng = random.Random(f"widened-fill:{genus}")
-    profiled = _recording_profiles(monkeypatch)
+    matrix = _counting(monkeypatch, "_matrix_h0")
     asked = []
     for i in range(60):
         terms = [(w, 1) for w in rng.sample(affine, rng.randint(0, g))]
@@ -552,11 +617,11 @@ def test_fill_on_the_shifted_marked_curve_matches_both_oracles(monkeypatch, genu
         terms.append((INFINITY, rng.randint(-1, 2 * g - 1) - sum(n for _, n in terms)))
         asked.append(class_key(curve, Divisor(terms)))
         class_h0(curve, asked[-1])
-    assert [k for k in profiled if k[1]] == [k for k in dict.fromkeys(asked) if k[1]]
-    assert any(not o and 0 < d < g - 1 for _, o, d in asked)
-    assert len(curve._h0_cache) > len(profiled)
     monkeypatch.undo()
-    _assert_memo_matches_own_degree_profiles(curve)
+    assert [key for _, key in matrix] == [k for k in dict.fromkeys(asked) if k[1] or k[2] < 1]
+    assert any(not o and 0 < d < g - 1 for _, o, d in asked)
+    assert len(curve._h0_cache) > len(set(asked))
+    _assert_memo_matches_the_matrix_route(curve)
     w = curve.weierstrass_points
     for (mask, ordinary, degree), dim in curve._h0_cache.items():
         support = [(w[i], 1) for i in range(2 * g + 1) if mask >> i & 1] + list(ordinary)
@@ -564,33 +629,21 @@ def test_fill_on_the_shifted_marked_curve_matches_both_oracles(monkeypatch, genu
         assert dim == _oracle_space(curve, member)[0], str(member)
 
 
-def _counting(monkeypatch, name):
-    """The calls of `riemann_roch.<name>`, counted by their first argument."""
-    calls = []
-    real = getattr(riemann_roch, name)
-
-    def counting(*args):
-        calls.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(riemann_roch, name, counting)
-    return calls
-
-
 def test_a_cold_genus5_search_eliminates_once_per_affine_part(monkeypatch):
-    # maximal k, full pool, with probes: one profile per (mask, ordinary)
-    # part, at degree g-1, and the same 1,406 memo entries as one elimination
-    # per key; the probes ask twisted h0 at degrees 1..3, which the search
-    # filled.  Every part is ramification-only, so the mask chains serve all
-    # of them without a matrix: one new row per mask but the empty one, each
-    # reduced by the rows of its prefix
+    # maximal k, full pool, with probes: each of the 824 affine parts
+    # (mask, ordinary) misses once and is counted at degrees g-1 down to
+    # its lowest, once per memo entry, 1,406 in all; the probes ask twisted
+    # h0 at degrees 1..3, which the search filled.  Every part is
+    # ramification-only, so the mask chains serve all of them without a
+    # matrix: one new row per mask but the empty one, each reduced by the
+    # rows of its prefix
     c = HyperellipticCurve(standard_curve(5).roots)  # a fresh, empty memo
-    profiles = _counting(monkeypatch, "_pole_profile")
+    chained = _counting(monkeypatch, "_chain_h0")
     eliminations = _counting(monkeypatch, "pivot_columns")
     reductions = _counting(monkeypatch, "reduce_row")
     search_report(c, two_torsion_from_subset(c, range(1, 7)), include_probes=True)
-    assert len(profiles) == len({(mask, ordinary) for mask, ordinary, _ in c._h0_cache}) == 824
-    assert len(c._h0_cache) == 1406
+    assert len(_chain_runs(chained)) == len({(mask, ordinary) for mask, ordinary, _ in c._h0_cache}) == 824
+    assert len(chained) == len(c._h0_cache) == 1406
     assert (len(eliminations), len(c._chain_cache), len(reductions)) == (0, 823, 2423)
 
 
@@ -611,7 +664,7 @@ def test_probes_after_a_search_eliminate_nothing(monkeypatch, genus):
 def _chain_cases():
     for genus in (4, 5, 6):
         yield pytest.param(standard_curve(genus).roots, id=f"standard{genus}")
-    # roots with denominators up to 12: the matrix path scales its Taylor
+    # roots with denominators up to 12: the matrix route scales its Taylor
     # rows by powers of q, the chain's rows p^j q^(g-1-j) by others
     for genus in (3, 5):
         yield pytest.param(shifted_marked_curve(genus)[0].roots, id=f"shifted{genus}")
@@ -620,22 +673,23 @@ def _chain_cases():
 @pytest.mark.parametrize("roots", list(_chain_cases()))
 def test_mask_chains_give_the_matrix_profiles(monkeypatch, roots):
     # every ramification-only key of degree 1..g-1, its mask at most g bits,
-    # asked in a seeded order so that chains are built from any prefix; the
-    # oracle is the elimination of the key's own matrix on a separate curve
+    # asked of `class_h0` in a seeded order so that chains are built from
+    # any prefix and the fill meets keys already written; the oracle is the
+    # matrix route of the key on a separate curve
     chained, matrix = HyperellipticCurve(roots), HyperellipticCurve(roots)
     g = chained.genus
     keys = [(mask, (), d) for mask in range(1 << 2 * g + 1) if mask.bit_count() <= g for d in range(1, g)]
     random.Random(f"chains:{roots}").shuffle(keys)
     eliminations = _counting(monkeypatch, "pivot_columns")
-    profiles = [riemann_roch._pole_profile(chained, key) for key in keys]
+    dims = [class_h0(chained, key) for key in keys]
     monkeypatch.undo()
     assert not eliminations
     assert len(chained._chain_cache) == len({mask for mask, _, _ in keys}) - 1  # no row for 0
-    for key, profile in zip(keys, profiles):
-        assert profile == riemann_roch._matrix_profile(matrix, key), key
+    for key, dim in zip(keys, dims):
+        assert dim == riemann_roch._matrix_h0(matrix, key), key
 
 
-def test_a_vanishing_leading_minor_falls_back_to_the_matrix(monkeypatch):
+def test_a_vanishing_leading_minor_raises_and_stores_nothing(monkeypatch):
     # distinct roots never give one, so a zero pivot is planted: the third
     # reduction, the second of w3's row over the prefix w1 + w2, returns a
     # zero row
@@ -649,18 +703,22 @@ def test_a_vanishing_leading_minor_falls_back_to_the_matrix(monkeypatch):
 
     monkeypatch.setattr(riemann_roch, "reduce_row", planting)
     eliminations = _counting(monkeypatch, "pivot_columns")
-    class_h0(c, (0b111, (), 1))
-    # the matrix path answered, and the store holds nothing for the mask
-    assert (len(calls), len(eliminations)) == (3, 1)
+    with pytest.raises(ArithmeticError, match="zero leading minor of mask 0b111: engine bug"):
+        class_h0(c, (0b111, (), 1))
+    # no matrix answers in its place, and neither memo holds the mask
+    assert (len(calls), len(eliminations)) == (3, 0)
     assert set(c._chain_cache) == {0b1, 0b11}
-    # the next mask with it as a prefix builds its chain again
-    class_h0(c, (0b1111, (), 1))
-    assert len(eliminations) == 1
-    assert set(c._chain_cache) == {0b1, 0b11, 0b111, 0b1111}
-    monkeypatch.undo()
+    assert not c._h0_cache
+    # the pencil reads the same chain, and writes no memo in any case
     fresh = HyperellipticCurve(c.roots)
-    assert len(c._h0_cache) == 6
-    assert c._h0_cache == {key: class_h0(fresh, key) for key in c._h0_cache}
+    calls.clear()
+    with pytest.raises(ArithmeticError, match="engine bug"):
+        pencil_h0s(fresh, (0b111, (), 6))
+    assert set(fresh._chain_cache) == {0b1, 0b11}
+    # without the plant the mask's chain is built again from its prefix
+    monkeypatch.undo()
+    assert class_h0(c, (0b111, (), 1)) == riemann_roch._matrix_h0(fresh, (0b111, (), 1))
+    assert set(c._chain_cache) == {0b1, 0b11, 0b111}
 
 
 def test_chains_survive_a_store_cleared_mid_build(monkeypatch):
